@@ -1,6 +1,7 @@
 #include "cell_model.hh"
 
 #include <cmath>
+#include <initializer_list>
 
 #include "common/log.hh"
 
@@ -33,6 +34,9 @@ CellModel::CellModel(const CrossbarParams &params) : params_(params)
     }
     b_ = 0.5 * (lo + hi);
     sinhBVw_ = std::sinh(b_ * vw);
+    for (CellState state : {CellState::HRS, CellState::LRS})
+        isat_[static_cast<unsigned>(state)] =
+            vw * nominalConductance(state) / sinhBVw_;
 }
 
 double
@@ -46,9 +50,7 @@ double
 CellModel::current(CellState state, double volts) const
 {
     const double mag = std::abs(volts);
-    const double isat =
-        params_.writeVolts * nominalConductance(state) / sinhBVw_;
-    double i = isat * std::sinh(b_ * mag);
+    double i = isat(state) * std::sinh(b_ * mag);
     return volts >= 0.0 ? i : -i;
 }
 
@@ -58,11 +60,9 @@ CellModel::conductance(CellState state, double volts) const
     const double mag = std::abs(volts);
     // As V -> 0 the sinh law has a finite slope Isat * B; use it to keep
     // the Picard iteration well conditioned for unselected cells.
-    const double isat =
-        params_.writeVolts * nominalConductance(state) / sinhBVw_;
     if (mag < 1e-6)
-        return isat * b_;
-    return isat * std::sinh(b_ * mag) / mag;
+        return isat(state) * b_;
+    return isat(state) * std::sinh(b_ * mag) / mag;
 }
 
 } // namespace ladder

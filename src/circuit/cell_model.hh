@@ -94,6 +94,12 @@ class CellModel
     CrossbarParams params_;
     double b_ = 0.0;       //!< sinh steepness
     double sinhBVw_ = 0.0; //!< cached sinh(B * Vw)
+    double isat_[2] = {};  //!< per-state Isat, indexed by CellState
+
+    double isat(CellState state) const
+    {
+        return isat_[static_cast<unsigned>(state)];
+    }
 };
 
 } // namespace ladder

@@ -78,8 +78,10 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
     const double tol = 2e-7;
     const double damping = 0.35;
 
-    std::vector<double> sub(std::max(n, m)), diag(std::max(n, m)),
-        sup(std::max(n, m)), rhs(std::max(n, m));
+    // One tridiagonal system per line, each solved in place: the
+    // solution overwrites rhs, so no per-iteration copies are needed.
+    std::vector<double> wlSub(m), wlDiag(m), wlSup(m), wlRhs(m);
+    std::vector<double> blSub(n), blDiag(n), blSup(n), blRhs(n);
 
     std::vector<double> drops(nSel, vw);
     double biasPower = 0.0;
@@ -87,42 +89,35 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
 
     for (std::size_t iter = 0; iter < maxIter; ++iter) {
         // --- Selected wordline solve (driver to ground at j = 0). ---
-        sub.assign(m, 0.0);
-        diag.assign(m, 0.0);
-        sup.assign(m, 0.0);
-        rhs.assign(m, 0.0);
+        std::fill(wlDiag.begin(), wlDiag.end(), 0.0);
+        std::fill(wlRhs.begin(), wlRhs.end(), 0.0);
         biasPower = 0.0;
         for (std::size_t j = 0; j < m; ++j) {
             if (j > 0) {
-                sub[j] = -gWire;
-                diag[j] += gWire;
+                wlSub[j] = -gWire;
+                wlDiag[j] += gWire;
             }
             if (j + 1 < m) {
-                sup[j] = -gWire;
-                diag[j] += gWire;
+                wlSup[j] = -gWire;
+                wlDiag[j] += gWire;
             }
             if (j == 0)
-                diag[j] += gIn; // grounded driver, no RHS term
+                wlDiag[j] += gIn; // grounded driver, no RHS term
             if (j >= blBase && j < blBase + nSel) {
                 // Fully selected cell: known current injection.
-                rhs[j] += cellCurrent[j - blBase];
+                wlRhs[j] += cellCurrent[j - blBase];
             } else {
                 // Half-selected cell shunting to the V/2 bias plane.
                 double drop = vb - vWl[j];
                 double g = cell_.conductance(wlState[j], drop) *
                            params_.wlSneakScale;
-                diag[j] += g;
-                rhs[j] += g * vb;
+                wlDiag[j] += g;
+                wlRhs[j] += g * vb;
                 biasPower += vb * g * drop;
             }
         }
-        std::vector<double> newWl = rhs;
-        {
-            std::vector<double> s(sub.begin(), sub.begin() + m);
-            std::vector<double> d(diag.begin(), diag.begin() + m);
-            std::vector<double> u(sup.begin(), sup.begin() + m);
-            solveTridiagonal(s, d, u, newWl);
-        }
+        solveTridiagonal(wlSub, wlDiag, wlSup, wlRhs);
+        const std::vector<double> &newWl = wlRhs;
 
         // --- Selected bitline solve (driver at i = 0 at Vw). ---
         // All selected bitlines share identical structure and loads
@@ -136,44 +131,41 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
             meanCurrent += i;
         meanCurrent /= static_cast<double>(nSel);
 
-        sub.assign(n, 0.0);
-        diag.assign(n, 0.0);
-        sup.assign(n, 0.0);
-        rhs.assign(n, 0.0);
+        std::fill(blDiag.begin(), blDiag.end(), 0.0);
+        std::fill(blRhs.begin(), blRhs.end(), 0.0);
         for (std::size_t i = 0; i < n; ++i) {
             if (i > 0) {
-                sub[i] = -gWire;
-                diag[i] += gWire;
+                blSub[i] = -gWire;
+                blDiag[i] += gWire;
             }
             if (i + 1 < n) {
-                sup[i] = -gWire;
-                diag[i] += gWire;
+                blSup[i] = -gWire;
+                blDiag[i] += gWire;
             }
             if (i == 0) {
-                diag[i] += gOut;
-                rhs[i] += gOut * vw;
+                blDiag[i] += gOut;
+                blRhs[i] += gOut * vw;
             }
             if (i == cond.wordline) {
-                rhs[i] -= meanCurrent;
+                blRhs[i] -= meanCurrent;
             } else {
                 double drop = vBl[i] - vb;
                 double g = cell_.conductance(blState[i], drop) *
                            params_.blSneakScale;
-                diag[i] += g;
-                rhs[i] += g * vb;
+                blDiag[i] += g;
+                blRhs[i] += g * vb;
             }
         }
-        std::vector<double> newBl = rhs;
-        solveTridiagonal(sub, diag, sup, newBl);
-        double blAtSel = newBl[cond.wordline];
+        solveTridiagonal(blSub, blDiag, blSup, blRhs);
+        const std::vector<double> &newBl = blRhs;
+        const double blAtSel = newBl[cond.wordline];
         drvPower = static_cast<double>(nSel) * vw * gOut *
                    (vw - newBl[0]);
-        std::vector<double> newBlAtSel(nSel, blAtSel);
 
         // --- Cell current update with damping. ---
         double maxDelta = 0.0;
         for (std::size_t k = 0; k < nSel; ++k) {
-            double drop = newBlAtSel[k] - newWl[blBase + k];
+            double drop = blAtSel - newWl[blBase + k];
             double iNew = cell_.current(CellState::LRS, drop);
             double iNext =
                 damping * cellCurrent[k] + (1.0 - damping) * iNew;

@@ -13,10 +13,11 @@
  * loop that exchanges the selected-cell currents between the wordline
  * and bitline solves.
  *
- * Cost is O(rows + cols) per nonlinear iteration, microseconds per
- * operating point, which lets the memory simulator build full timing
- * tables at startup. Accuracy is validated against CrossbarMna in the
- * test suite.
+ * Cost is O(rows + cols) per nonlinear iteration: about 1.2 ms per
+ * operating point at 512x512 (~19 Picard iterations of ~65 us), cheap
+ * enough for the memory simulator to build full timing tables at
+ * startup. Accuracy is validated against CrossbarMna in the test
+ * suite.
  */
 
 #ifndef LADDER_CIRCUIT_FASTMODEL_HH

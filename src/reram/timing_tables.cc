@@ -1,7 +1,9 @@
 #include "timing_tables.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -11,6 +13,7 @@
 #include "circuit/fastmodel.hh"
 #include "common/log.hh"
 #include "common/profiler.hh"
+#include "common/thread_pool.hh"
 #include "latency_surface.hh"
 
 namespace ladder
@@ -29,6 +32,83 @@ attachSurfaces(TimingModel &model)
         LatencySurface::fromTable(model.blp));
     model.locationSurface = std::make_shared<const LatencySurface>(
         LatencySurface::fromTable(model.location));
+}
+
+/** Sets a model's latency law, solving on the model's circuit. */
+using Calibration =
+    std::function<void(TimingModel &, const SneakPathModel &)>;
+
+/**
+ * The one table builder behind generate() and generateDerived(): the
+ * law from @p calibrate, then the LADDER, BLP, location and power
+ * tables and their surfaces.
+ *
+ * The table solves run in parallel without changing a bit of the
+ * result. The public builders run twice: first against an evaluator
+ * that only records the operating points they request, then, once a
+ * local pool has solved every point into an index-ordered vector,
+ * against one that replays those results in request order. Each solve
+ * is a pure function of (params, condition), so the tables equal a
+ * serial build's at any worker count. Every requested point is solved,
+ * repeated corners included, so the solver counters are unchanged too.
+ * The pool is this call's own, never a caller's: the build is safe
+ * inside a sweep worker that holds the cachedTimingModel lock.
+ */
+TimingModel
+buildModel(const CrossbarParams &params, unsigned granularity,
+           const Calibration &calibrate)
+{
+    PROF_SCOPE("timing_table_build");
+    TimingModel model;
+    model.params = params;
+    SneakPathModel fast(params);
+    calibrate(model, fast);
+
+    auto buildTables = [&](const ResetEvaluator &eval) {
+        model.ladder = WriteTimingTable::build(
+            params, model.law, eval, ContentDim::Wordline, granularity,
+            granularity, granularity);
+        model.blp = WriteTimingTable::build(
+            params, model.law, eval, ContentDim::Bitline, granularity,
+            granularity, granularity);
+        model.location = WriteTimingTable::build(
+            params, model.law, eval, ContentDim::Wordline, granularity,
+            granularity, 1);
+        model.power = PowerTable::build(params, eval);
+    };
+
+    std::vector<ResetCondition> conds;
+    buildTables([&conds](const ResetCondition &c) {
+        conds.push_back(c);
+        return ResetEvaluation{};
+    });
+
+    std::vector<ResetEvaluation> results(conds.size());
+    std::atomic<std::size_t> next{0};
+    {
+        // Declared after everything its jobs touch, so even when a
+        // solve throws the pool drains before any of it is destroyed.
+        ThreadPool pool(ThreadPool::defaultJobs());
+        std::vector<std::future<void>> workers;
+        for (unsigned w = 0; w < pool.threadCount(); ++w) {
+            workers.push_back(pool.submit([&] {
+                for (std::size_t i = next++; i < conds.size(); i = next++)
+                    results[i] = fast.evaluate(conds[i]);
+            }));
+        }
+        for (auto &worker : workers)
+            worker.get();
+    }
+
+    std::size_t replayed = 0;
+    buildTables([&](const ResetCondition &) {
+        return results.at(replayed++);
+    });
+    ladder_assert(replayed == conds.size(),
+                  "timing table replay used %zu of %zu solves", replayed,
+                  conds.size());
+    attachSurfaces(model);
+    return model;
 }
 
 } // namespace
@@ -257,50 +337,24 @@ TimingModel
 TimingModel::generate(const CrossbarParams &params, unsigned granularity,
                       double rangeShrink, double fastNs, double slowNs)
 {
-    PROF_SCOPE("timing_table_build");
-    TimingModel model;
-    model.params = params;
-
-    SneakPathModel fast(params);
-    ResetEvaluator eval = [&fast](const ResetCondition &c) {
-        return fast.evaluate(c);
-    };
-
-    // Calibration endpoints of the operating envelope.
-    ResetCondition bestCond;
-    bestCond.wordline = 0;
-    bestCond.byteOffset = 0;
-    bestCond.wlLrsCount = 0;
-    bestCond.blLrsCount = 0;
-    ResetCondition worstCond;
-    worstCond.wordline = params.rows - 1;
-    worstCond.byteOffset = params.cols / params.selectedCells - 1;
-    worstCond.wlLrsCount = static_cast<unsigned>(params.cols);
-    worstCond.blLrsCount = static_cast<unsigned>(params.rows);
-
-    model.bestDropVolts = fast.evaluate(bestCond).minDropVolts;
-    model.worstDropVolts = fast.evaluate(worstCond).minDropVolts;
-    model.law = ResetLatencyLaw::calibrate(model.bestDropVolts,
-                                           model.worstDropVolts,
-                                           fastNs, slowNs);
-    if (rangeShrink > 1.0)
-        model.law = model.law.shrinkDynamicRange(rangeShrink);
-
-    model.ladder =
-        WriteTimingTable::build(params, model.law, eval,
-                                ContentDim::Wordline, granularity,
-                                granularity, granularity);
-    model.blp = WriteTimingTable::build(params, model.law, eval,
-                                        ContentDim::Bitline,
-                                        granularity, granularity,
-                                        granularity);
-    model.location =
-        WriteTimingTable::build(params, model.law, eval,
-                                ContentDim::Wordline, granularity,
-                                granularity, 1);
-    model.power = PowerTable::build(params, eval);
-    attachSurfaces(model);
-    return model;
+    return buildModel(
+        params, granularity,
+        [&](TimingModel &model, const SneakPathModel &fast) {
+            // Calibration endpoints of the operating envelope.
+            ResetCondition bestCond; // origin, all cells HRS
+            ResetCondition worstCond{
+                params.rows - 1, params.cols / params.selectedCells - 1,
+                static_cast<unsigned>(params.cols),
+                static_cast<unsigned>(params.rows)};
+            model.bestDropVolts = fast.evaluate(bestCond).minDropVolts;
+            model.worstDropVolts =
+                fast.evaluate(worstCond).minDropVolts;
+            model.law = ResetLatencyLaw::calibrate(
+                model.bestDropVolts, model.worstDropVolts, fastNs,
+                slowNs);
+            if (rangeShrink > 1.0)
+                model.law = model.law.shrinkDynamicRange(rangeShrink);
+        });
 }
 
 TimingModel
@@ -308,29 +362,10 @@ TimingModel::generateDerived(const CrossbarParams &params,
                              const ResetLatencyLaw &law,
                              unsigned granularity)
 {
-    TimingModel model;
-    model.params = params;
-    model.law = law;
-
-    SneakPathModel fast(params);
-    ResetEvaluator eval = [&fast](const ResetCondition &c) {
-        return fast.evaluate(c);
-    };
-    model.ladder =
-        WriteTimingTable::build(params, law, eval,
-                                ContentDim::Wordline, granularity,
-                                granularity, granularity);
-    model.blp = WriteTimingTable::build(params, law, eval,
-                                        ContentDim::Bitline,
-                                        granularity, granularity,
-                                        granularity);
-    model.location =
-        WriteTimingTable::build(params, law, eval,
-                                ContentDim::Wordline, granularity,
-                                granularity, 1);
-    model.power = PowerTable::build(params, eval);
-    attachSurfaces(model);
-    return model;
+    return buildModel(params, granularity,
+                      [&law](TimingModel &model, const SneakPathModel &) {
+                          model.law = law;
+                      });
 }
 
 } // namespace ladder

@@ -200,9 +200,10 @@ struct TimingModel
 };
 
 /**
- * Memoized TimingModel::generate. Table generation costs ~0.1s per
- * parameter set; experiment sweeps construct hundreds of systems, so
- * identical models are built once and shared.
+ * Memoized TimingModel::generate. Table generation costs ~0.4 s per
+ * parameter set on 4 hardware threads (1.2-1.7 s serial); experiment
+ * sweeps construct hundreds of systems, so identical models are built
+ * once and shared.
  */
 const TimingModel &cachedTimingModel(const CrossbarParams &params,
                                      unsigned granularity = 8,

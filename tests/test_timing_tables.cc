@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "circuit/fastmodel.hh"
+#include "circuit/solvers.hh"
 #include "reram/latency_surface.hh"
 #include "reram/timing_tables.hh"
 
@@ -217,6 +221,170 @@ TEST(TimingTable, SurfaceLookupEqualsTableLookup)
             }
         }
     }
+}
+
+/** Equal down to the last bit (no tolerance, -0.0 != +0.0). */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+/**
+ * The model generate() (or, given @p law, generateDerived()) must
+ * produce, built serially through the public builders with one direct
+ * fast-model solve per request.
+ */
+TimingModel
+serialReference(const CrossbarParams &p, unsigned g, double shrink,
+                const ResetLatencyLaw *law)
+{
+    SneakPathModel fast(p);
+    ResetEvaluator eval = [&fast](const ResetCondition &c) {
+        return fast.evaluate(c);
+    };
+    TimingModel ref;
+    if (law) {
+        ref.law = *law;
+    } else {
+        ResetCondition best;
+        ResetCondition worst{p.rows - 1, p.cols / p.selectedCells - 1,
+                             static_cast<unsigned>(p.cols),
+                             static_cast<unsigned>(p.rows)};
+        ref.bestDropVolts = eval(best).minDropVolts;
+        ref.worstDropVolts = eval(worst).minDropVolts;
+        ref.law = ResetLatencyLaw::calibrate(ref.bestDropVolts,
+                                             ref.worstDropVolts);
+        if (shrink > 1.0)
+            ref.law = ref.law.shrinkDynamicRange(shrink);
+    }
+    ref.ladder = WriteTimingTable::build(p, ref.law, eval,
+                                         ContentDim::Wordline, g, g, g);
+    ref.blp = WriteTimingTable::build(p, ref.law, eval,
+                                      ContentDim::Bitline, g, g, g);
+    ref.location = WriteTimingTable::build(p, ref.law, eval,
+                                           ContentDim::Wordline, g, g, 1);
+    ref.power = PowerTable::build(p, eval);
+    return ref;
+}
+
+void
+expectSameTable(const WriteTimingTable &got, const WriteTimingTable &want,
+                const char *what)
+{
+    ASSERT_EQ(got.wlBuckets(), want.wlBuckets()) << what;
+    ASSERT_EQ(got.blBuckets(), want.blBuckets()) << what;
+    ASSERT_EQ(got.contentBuckets(), want.contentBuckets()) << what;
+    EXPECT_TRUE(sameBits(got.worstLatencyNs(), want.worstLatencyNs()))
+        << what;
+    EXPECT_TRUE(sameBits(got.bestLatencyNs(), want.bestLatencyNs()))
+        << what;
+    for (unsigned wb = 0; wb < want.wlBuckets(); ++wb)
+        for (unsigned bb = 0; bb < want.blBuckets(); ++bb)
+            for (unsigned cb = 0; cb < want.contentBuckets(); ++cb) {
+                const TimingEntry &a = got.at(wb, bb, cb);
+                const TimingEntry &b = want.at(wb, bb, cb);
+                EXPECT_TRUE(sameBits(a.latencyNs, b.latencyNs))
+                    << what << " latency at " << wb << "," << bb << ","
+                    << cb;
+                EXPECT_TRUE(sameBits(a.powerMw, b.powerMw))
+                    << what << " power at " << wb << "," << bb << ","
+                    << cb;
+            }
+}
+
+/** Bitwise equality of every table, power cell and surface. */
+void
+expectSameModel(const TimingModel &got, const TimingModel &want)
+{
+    EXPECT_TRUE(sameBits(got.law.cNs, want.law.cNs));
+    EXPECT_TRUE(sameBits(got.law.kPerVolt, want.law.kPerVolt));
+    EXPECT_TRUE(sameBits(got.law.fastNs, want.law.fastNs));
+    EXPECT_TRUE(sameBits(got.bestDropVolts, want.bestDropVolts));
+    EXPECT_TRUE(sameBits(got.worstDropVolts, want.worstDropVolts));
+    expectSameTable(got.ladder, want.ladder, "ladder");
+    expectSameTable(got.blp, want.blp, "blp");
+    expectSameTable(got.location, want.location, "location");
+
+    // PowerTable::build's default 4 buckets per dimension, probed at
+    // the bucket midpoints it solved: each probe is a distinct cell.
+    const unsigned k = 4;
+    const unsigned rows = static_cast<unsigned>(want.params.rows);
+    const unsigned cols = static_cast<unsigned>(want.params.cols);
+    auto mid = [k](unsigned b, unsigned max) {
+        return (2 * b + 1) * max / (2 * k);
+    };
+    for (unsigned wb = 0; wb < k; ++wb)
+        for (unsigned bb = 0; bb < k; ++bb)
+            for (unsigned cw = 0; cw < k; ++cw)
+                for (unsigned cb = 0; cb < k; ++cb) {
+                    const unsigned wl = mid(wb, rows);
+                    const unsigned bl = mid(bb, cols);
+                    const unsigned wlLrs = mid(cw, cols);
+                    const unsigned blLrs = mid(cb, rows);
+                    EXPECT_TRUE(sameBits(
+                        got.power.lookup(wl, bl, wlLrs, blLrs),
+                        want.power.lookup(wl, bl, wlLrs, blLrs)))
+                        << "power cell " << wb << "," << bb << "," << cw
+                        << "," << cb;
+                }
+
+    // verifyAgainst compares every dense cell bit for bit.
+    EXPECT_TRUE(got.ladderSurface->verifyAgainst(want.ladder).ok());
+    EXPECT_TRUE(got.blpSurface->verifyAgainst(want.blp).ok());
+    EXPECT_TRUE(got.locationSurface->verifyAgainst(want.location).ok());
+}
+
+TEST(TimingModelDeterminism, ParallelBuildEqualsSerialBuild)
+{
+    CrossbarParams p;
+    struct Case
+    {
+        unsigned granularity;
+        double shrink;
+    };
+    for (Case c : {Case{8, 1.0}, Case{4, 1.0}, Case{16, 1.0},
+                   Case{8, 2.0}}) {
+        SCOPED_TRACE(testing::Message() << "granularity "
+                                        << c.granularity << " shrink "
+                                        << c.shrink);
+        expectSameModel(cachedTimingModel(p, c.granularity, c.shrink),
+                        serialReference(p, c.granularity, c.shrink,
+                                        nullptr));
+    }
+}
+
+TEST(TimingModelDeterminism, DerivedParallelBuildEqualsSerialBuild)
+{
+    CrossbarParams half;
+    half.selectedCells = 4;
+    const ResetLatencyLaw &law = model().law;
+    expectSameModel(TimingModel::generateDerived(half, law, 8),
+                    serialReference(half, 8, 1.0, &law));
+}
+
+TEST(TimingModelDeterminism, SolvesEveryRequestedCondition)
+{
+    // The golden stats.json files record the solver counters, so the
+    // build must neither skip nor deduplicate a single solve.
+    CrossbarParams p;
+    std::uint64_t requested = 2; // the law's two calibration corners
+    ResetEvaluator count = [&](const ResetCondition &) {
+        ++requested;
+        return ResetEvaluation{};
+    };
+    for (ContentDim dim : {ContentDim::Wordline, ContentDim::Bitline})
+        WriteTimingTable::build(p, ResetLatencyLaw{}, count, dim);
+    WriteTimingTable::build(p, ResetLatencyLaw{}, count,
+                            ContentDim::Wordline, 8, 8, 1);
+    PowerTable::build(p, count);
+    EXPECT_EQ(requested, 1346u);
+
+    SolverInstrumentation &inst = SolverInstrumentation::instance();
+    const std::uint64_t before = inst.snapshot().picardSolves;
+    TimingModel::generate(p);
+    EXPECT_EQ(inst.snapshot().picardSolves - before, requested);
 }
 
 TEST(PowerTable, PositiveAndContentSensitive)

@@ -572,8 +572,10 @@ TEST(TraceWindow, SkipsChunksOutsideTheTickWindow)
     reader.setTickWindow(800, 1500);
     CtrlTraceRecord rec;
     std::size_t i = 8;
-    while (reader.next(rec))
-        expectSameRecord(rec, records[i++], i);
+    while (reader.next(rec)) {
+        expectSameRecord(rec, records[i], i);
+        ++i;
+    }
     EXPECT_TRUE(reader.ok()) << reader.error();
     EXPECT_EQ(i, 16u);
     // Only the one overlapping chunk was ever CRC-checked/decoded.
@@ -816,8 +818,10 @@ TEST(TraceWindow, SkippedChunksAreNeverCrcCheckedOrDecoded)
     ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
     reader.setTickWindow(0, 1500); // chunks 0 and 1 only
     std::size_t i = 0;
-    while (reader.next(rec))
-        expectSameRecord(rec, records[i++], i);
+    while (reader.next(rec)) {
+        expectSameRecord(rec, records[i], i);
+        ++i;
+    }
     EXPECT_TRUE(reader.ok()) << reader.error();
     EXPECT_EQ(i, 16u);
     EXPECT_EQ(reader.chunksDecoded(), 2u);
