@@ -80,48 +80,6 @@ EventQueue::runUntil(Tick limit)
     return count;
 }
 
-std::uint64_t
-EventQueue::runBefore(Tick end)
-{
-    ladder_assert(end >= now_ && end != maxTick,
-                  "runBefore: bad window end %llu (now %llu)",
-                  static_cast<unsigned long long>(end),
-                  static_cast<unsigned long long>(now_));
-    std::uint64_t count = 0;
-    while (!heap_.empty()) {
-        const Entry &top = heap_.top();
-        if (top.when >= end)
-            break;
-        if (isCancelled(top.id)) {
-            forgetCancelled(top.id);
-            heap_.pop();
-            continue;
-        }
-        Entry entry = top;
-        heap_.pop();
-        --live_;
-        now_ = entry.when;
-        ++executed_;
-        ++count;
-        entry.callback();
-    }
-    now_ = end;
-    return count;
-}
-
-Tick
-EventQueue::nextEventTick()
-{
-    while (!heap_.empty()) {
-        const Entry &top = heap_.top();
-        if (!isCancelled(top.id))
-            return top.when;
-        forgetCancelled(top.id);
-        heap_.pop();
-    }
-    return maxTick;
-}
-
 bool
 EventQueue::step()
 {

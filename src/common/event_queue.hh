@@ -67,30 +67,6 @@ class EventQueue
      */
     std::uint64_t runUntil(Tick limit = maxTick);
 
-    /**
-     * Run every event strictly before @p end, then advance the clock
-     * to @p end. This is the channel-engine window primitive: a queue
-     * that ran before @p end can accept new work at any tick >= @p end
-     * from another clock domain without ever scheduling into its past.
-     *
-     * @pre end >= now() and end != maxTick
-     * @return Number of events executed.
-     */
-    std::uint64_t runBefore(Tick end);
-
-    /**
-     * Tick of the earliest live event, or maxTick when the queue is
-     * empty. Prunes cancelled entries from the top of the heap.
-     */
-    Tick nextEventTick();
-
-    /**
-     * Stable pointer to the queue's clock, for components that must
-     * read another clock domain's time (e.g. a channel controller
-     * executing a frontend-phase call reads the frontend clock).
-     */
-    const Tick *nowPtr() const { return &now_; }
-
     /** Execute exactly one event if any; returns false when empty. */
     bool step();
 

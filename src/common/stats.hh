@@ -34,9 +34,6 @@ class StatScalar
     void set(double v) { value_ = v; }
     void reset() { value_ = 0.0; }
 
-    /** Fold another scalar's accumulated value into this one. */
-    void mergeFrom(const StatScalar &other) { value_ += other.value_; }
-
     double value() const { return value_; }
 
   private:
@@ -49,20 +46,6 @@ class StatAverage
   public:
     void sample(double v);
     void reset();
-
-    /**
-     * Fold another average's samples into this one. Summation order
-     * is the caller's responsibility; the channel engine folds shards
-     * in fixed channel order so the result is deterministic.
-     */
-    void
-    mergeFrom(const StatAverage &other)
-    {
-        sum_ += other.sum_;
-        count_ += other.count_;
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
 
     double mean() const;
     double min() const { return count_ ? min_ : 0.0; }

@@ -6,9 +6,6 @@
 
 #if defined(__linux__)
 #include <pthread.h>
-#if defined(__GLIBC__)
-#include <sched.h>
-#endif
 #endif
 
 #include "common/metrics.hh"
@@ -52,28 +49,6 @@ nameWorkerThread(unsigned index)
     prof::setCurrentThreadName(name);
 }
 
-/**
- * Pin the calling worker to CPU (index mod cores). Only glibc exposes
- * pthread_setaffinity_np with cpu_set_t; everywhere else this is a
- * documented no-op. Failure (e.g. a restrictive cpuset) is ignored:
- * pinning is a performance hint, never a correctness requirement.
- */
-void
-pinWorkerThread(unsigned index)
-{
-#if defined(__linux__) && defined(__GLIBC__)
-    unsigned cores = std::thread::hardware_concurrency();
-    if (cores == 0)
-        return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(index % cores, &set);
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)index;
-#endif
-}
-
 } // namespace
 
 unsigned
@@ -83,16 +58,14 @@ ThreadPool::defaultJobs()
     return std::max(hw, 1u);
 }
 
-ThreadPool::ThreadPool(unsigned threads, bool pinCores)
+ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
         threads = defaultJobs();
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i) {
-        workers_.emplace_back([this, i, pinCores]() {
+        workers_.emplace_back([this, i]() {
             nameWorkerThread(i);
-            if (pinCores)
-                pinWorkerThread(i);
             workerLoop();
         });
     }

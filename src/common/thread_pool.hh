@@ -33,13 +33,9 @@ class ThreadPool
   public:
     /**
      * Start @p threads workers (0 selects defaultJobs()). The pool is
-     * fixed-size; it never grows or shrinks. With @p pinCores worker i
-     * is pinned to CPU i modulo the core count (Linux only; silently a
-     * no-op elsewhere) — useful for persistent channel workers whose
-     * cache locality matters, harmful for oversubscribed sweeps, so it
-     * is off by default.
+     * fixed-size; it never grows or shrinks.
      */
-    explicit ThreadPool(unsigned threads = 0, bool pinCores = false);
+    explicit ThreadPool(unsigned threads = 0);
 
     /** Drains the queue, finishes running jobs, joins the workers. */
     ~ThreadPool();

@@ -25,7 +25,7 @@ MemoryController::MemoryController(EventQueue &events,
                                    unsigned channel, BackingStore &store,
                                    const TimingModel &timing,
                                    std::shared_ptr<WriteScheme> scheme)
-    : events_(&events),
+    : events_(events),
       cfg_(cfg),
       geo_(geo),
       map_(geo),
@@ -168,20 +168,6 @@ MemoryController::addRetryListener(std::function<void()> listener)
 void
 MemoryController::notifyRetry()
 {
-    // Retry listeners poke the cores (frontend domain). In engine
-    // mode a channel worker only flags its outbox; the System fires
-    // deliverRetries() at the barrier, in channel order.
-    if (outbox_) {
-        outbox_->retryPending = true;
-        return;
-    }
-    for (auto &listener : retryListeners_)
-        listener();
-}
-
-void
-MemoryController::deliverRetries()
-{
     for (auto &listener : retryListeners_)
         listener();
 }
@@ -226,19 +212,13 @@ MemoryController::enqueueRead(Addr lineAddr, ReadCallback callback)
                   loc.channel, channel_);
     ++dataReads;
 
-    // Forward from a queued or in-flight write to the same block. The
-    // forwarding completion never touches the array, so in engine mode
-    // it schedules on the frontend queue (enqueueRead only executes in
-    // the serial frontend phase): the latency samples then interleave
-    // with this controller's channel-phase samples at a fixed point in
-    // the window, independent of worker count.
-    EventQueue &fwdQueue = frontendQueue_ ? *frontendQueue_ : *events_;
+    // Forward from a queued or in-flight write to the same block.
     for (const auto &entry : writeQueue_) {
         if (entry.addr == phys && !entry.isMetadataWrite) {
             LineData data = entry.data;
-            Tick when = curTick() + tCl_;
-            Tick enq = curTick();
-            fwdQueue.schedule(when, [this, callback, data, when, enq]() {
+            Tick when = events_.now() + tCl_;
+            Tick enq = events_.now();
+            events_.schedule(when, [this, callback, data, when, enq]() {
                 readLatencyNs.sample(ticksToNs(when - enq));
                 readLatencyHistNs.sample(ticksToNs(when - enq));
                 callback(data, when);
@@ -249,9 +229,9 @@ MemoryController::enqueueRead(Addr lineAddr, ReadCallback callback)
     auto inflight = inFlightWrites_.find(phys);
     if (inflight != inFlightWrites_.end()) {
         LineData data = inflight->second;
-        Tick when = curTick() + tCl_;
-        Tick enq = curTick();
-        fwdQueue.schedule(when, [this, callback, data, when, enq]() {
+        Tick when = events_.now() + tCl_;
+        Tick enq = events_.now();
+        events_.schedule(when, [this, callback, data, when, enq]() {
             readLatencyNs.sample(ticksToNs(when - enq));
             readLatencyHistNs.sample(ticksToNs(when - enq));
             callback(data, when);
@@ -271,7 +251,7 @@ MemoryController::enqueueRead(Addr lineAddr, ReadCallback callback)
     entry.id = nextId_++;
     entry.addr = phys;
     entry.kind = ReadKind::Data;
-    entry.enqueueTick = curTick();
+    entry.enqueueTick = events_.now();
     entry.loc = loc;
     entry.callbacks.push_back(std::move(callback));
     readQueue_.push_back(std::move(entry));
@@ -304,7 +284,7 @@ MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
     entry.addr = phys;
     entry.data = data;
     entry.loc = loc;
-    entry.enqueueTick = curTick();
+    entry.enqueueTick = events_.now();
     entry.readyTick = entry.enqueueTick;
     // Hook first: wear-leveling decorators may advance per-line state
     // that the encoding depends on.
@@ -317,7 +297,7 @@ MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
         smb.id = nextId_++;
         smb.addr = phys;
         smb.kind = ReadKind::StaleBlock;
-        smb.enqueueTick = curTick();
+        smb.enqueueTick = events_.now();
         smb.loc = loc;
         smb.writeId = entry.id;
         internalReads_.push_back(std::move(smb));
@@ -340,7 +320,7 @@ MemoryController::injectWrite(Addr lineAddr, const LineData &data)
     entry.addr = phys;
     entry.data = data;
     entry.loc = loc;
-    entry.enqueueTick = curTick();
+    entry.enqueueTick = events_.now();
     entry.readyTick = entry.enqueueTick;
     // Hook first: wear-leveling decorators may advance per-line state
     // that the encoding depends on.
@@ -352,7 +332,7 @@ MemoryController::injectWrite(Addr lineAddr, const LineData &data)
         smb.id = nextId_++;
         smb.addr = phys;
         smb.kind = ReadKind::StaleBlock;
-        smb.enqueueTick = curTick();
+        smb.enqueueTick = events_.now();
         smb.loc = loc;
         smb.writeId = entry.id;
         internalReads_.push_back(std::move(smb));
@@ -411,7 +391,7 @@ MemoryController::issueMetaFill(PendingMetaFill &fill)
     meta.id = nextId_++;
     meta.addr = fill.metaAddr;
     meta.kind = ReadKind::Metadata;
-    meta.enqueueTick = curTick();
+    meta.enqueueTick = events_.now();
     meta.loc = map_.decode(fill.metaAddr);
     internalReads_.push_back(std::move(meta));
     ++metadataReads;
@@ -446,7 +426,7 @@ MemoryController::enqueueMetadataWrite(Addr metaAddr)
     entry.id = nextId_++;
     entry.addr = metaAddr;
     entry.loc = map_.decode(metaAddr);
-    entry.enqueueTick = curTick();
+    entry.enqueueTick = events_.now();
     entry.readyTick = entry.enqueueTick;
     entry.isMetadataWrite = true;
     metaWrites_.push_back(std::move(entry));
@@ -469,7 +449,7 @@ MemoryController::requestSchedule()
     if (schedulePending_)
         return;
     schedulePending_ = true;
-    events_->schedule(curTick(), [this]() {
+    events_.schedule(events_.now(), [this]() {
         schedulePending_ = false;
         runSchedule();
     });
@@ -508,9 +488,9 @@ MemoryController::runSchedule()
     while (true) {
         // Command-issue rate limiting (one command per tBURST).
         if (lastIssueTick_ != 0 &&
-            events_->now() < lastIssueTick_ + tBurst_) {
+            events_.now() < lastIssueTick_ + tBurst_) {
             Tick when = lastIssueTick_ + tBurst_;
-            events_->schedule(when, [this]() { requestSchedule(); });
+            events_.schedule(when, [this]() { requestSchedule(); });
             return;
         }
         bool progress = false;
@@ -539,17 +519,17 @@ MemoryController::issueOneRead(std::deque<ReadEntry> &queue)
     for (std::size_t i = 0; i < queue.size(); ++i) {
         ReadEntry &entry = queue[i];
         unsigned bank = bankIndex(entry.loc);
-        if (bankBusyUntil_[bank] > events_->now())
+        if (bankBusyUntil_[bank] > events_.now())
             continue;
         ReadEntry taken = std::move(entry);
         queue.erase(queue.begin() + static_cast<long>(i));
-        Tick busy = events_->now() + tRcd_ + tCl_;
+        Tick busy = events_.now() + tRcd_ + tCl_;
         bankBusyUntil_[bank] = busy;
-        lastIssueTick_ = events_->now();
+        lastIssueTick_ = events_.now();
         Tick respond = busy + tBurst_;
         readEnergyPj += cfg_.readEnergyPj;
         bool wasFull = queue.size() + 1 >= cfg_.readQueueEntries;
-        events_->schedule(respond,
+        events_.schedule(respond,
                          [this, e = std::move(taken), respond]() mutable {
                              completeRead(std::move(e), respond);
                          });
@@ -578,7 +558,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
         if (metrics::enabled()) {
             metrics::add(mReads_);
             metrics::set(mRqDepth_, readQueue_.size());
-            metrics::set(mSimTick_, events_->now());
+            metrics::set(mSimTick_, events_.now());
         }
         if (traceSink_) {
             CtrlTraceRecord r;
@@ -593,21 +573,8 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
                 static_cast<std::uint32_t>(readQueue_.size());
             traceSink_->record(r);
         }
-        // Completion callbacks climb back into the cores (frontend
-        // domain). Engine mode parks them in the outbox for the
-        // barrier to deliver; the payload keeps the true completion
-        // tick even though delivery lands at the window boundary.
-        if (outbox_) {
-            outbox_->deliveries.push_back(
-                {when,
-                 [cbs = std::move(entry.callbacks), logical, when]() {
-                     for (auto &cb : cbs)
-                         cb(logical, when);
-                 }});
-        } else {
-            for (auto &cb : entry.callbacks)
-                cb(logical, when);
-        }
+        for (auto &cb : entry.callbacks)
+            cb(logical, when);
         break;
       }
       case ReadKind::Metadata: {
@@ -638,7 +605,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
                               "metadata fill underflow");
                 --w->metaPending;
                 if (cfg_.attribution && w->ready())
-                    w->readyTick = events_->now();
+                    w->readyTick = events_.now();
             }
         }
         pendingFills_.erase(it);
@@ -649,7 +616,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
             w->smbData = store_.read(entry.addr);
             w->smbReady = true;
             if (cfg_.attribution && w->ready())
-                w->readyTick = events_->now();
+                w->readyTick = events_.now();
         }
         break;
       }
@@ -711,7 +678,7 @@ MemoryController::attributeDispatch(const WriteEntry &entry,
     const auto sgn = [](Tick t) {
         return static_cast<std::int64_t>(t);
     };
-    const Tick now = events_->now();
+    const Tick now = events_.now();
     const WriteBlameHint hint =
         scheme_->attributeWrite(*this, entry, decision);
 
@@ -784,16 +751,16 @@ MemoryController::issueOneWrite()
     for (std::size_t i = 0; i < metaWrites_.size(); ++i) {
         WriteEntry &entry = metaWrites_[i];
         unsigned bank = bankIndex(entry.loc);
-        if (bankBusyUntil_[bank] > events_->now())
+        if (bankBusyUntil_[bank] > events_.now())
             continue;
         WriteEntry taken = std::move(entry);
         metaWrites_.erase(metaWrites_.begin() + static_cast<long>(i));
         double powerMw = 0.0;
         double latencyNs = metadataWriteLatencyNs(taken.loc, powerMw);
-        Tick busy = events_->now() + tRcd_ + nsToTicks(latencyNs);
+        Tick busy = events_.now() + tRcd_ + nsToTicks(latencyNs);
         bankBusyUntil_[bank] = busy;
-        lastIssueTick_ = events_->now();
-        events_->schedule(
+        lastIssueTick_ = events_.now();
+        events_.schedule(
             busy, [this, e = std::move(taken), latencyNs, powerMw,
                    busy]() mutable {
                 completeWrite(std::move(e), latencyNs, powerMw, busy);
@@ -807,7 +774,7 @@ MemoryController::issueOneWrite()
         if (!entry.ready())
             continue;
         unsigned bank = bankIndex(entry.loc);
-        if (bankBusyUntil_[bank] > events_->now())
+        if (bankBusyUntil_[bank] > events_.now())
             continue;
         // Same-address ordering: a write must not overtake an older
         // pending read of the same block.
@@ -861,7 +828,7 @@ MemoryController::issueOneWrite()
 
         if (traceSink_) {
             CtrlTraceRecord r;
-            r.tick = events_->now();
+            r.tick = events_.now();
             r.kind = CtrlTraceRecord::Kind::Write;
             r.channel = static_cast<std::uint8_t>(channel_);
             r.wordline = static_cast<std::uint16_t>(taken.loc.wordline);
@@ -875,7 +842,7 @@ MemoryController::issueOneWrite()
             traceSink_->record(r);
         }
 
-        Tick busy = events_->now() + tRcd_ + nsToTicks(decision.latencyNs);
+        Tick busy = events_.now() + tRcd_ + nsToTicks(decision.latencyNs);
         if (metrics::enabled()) {
             metrics::add(mWrites_);
             metrics::add(mSchemeWrites_);
@@ -883,18 +850,18 @@ MemoryController::issueOneWrite()
                          static_cast<std::uint64_t>(
                              nsToTicks(decision.latencyNs)));
             metrics::set(mWqDepth_, writeQueue_.size());
-            metrics::set(mSimTick_, events_->now());
+            metrics::set(mSimTick_, events_.now());
         }
         bankBusyUntil_[bank] = busy;
-        lastIssueTick_ = events_->now();
+        lastIssueTick_ = events_.now();
         writeQueueTimeNs.sample(
-            ticksToNs(events_->now() - taken.enqueueTick));
+            ticksToNs(events_.now() - taken.enqueueTick));
         inFlightWrites_[taken.addr] = taken.data;
         bool wasFull =
             writeQueue_.size() + 1 >= cfg_.writeQueueEntries;
         taken.schemeScratch = fnw.flip ? 1u : 0u;
         taken.physData = fnw.data;
-        events_->schedule(
+        events_.schedule(
             busy, [this, e = std::move(taken),
                    latencyNs = decision.latencyNs,
                    powerMw = decision.powerMw, busy]() mutable {
@@ -962,7 +929,7 @@ MemoryController::injectPhysicalWrite(Addr physTo, const LineData &data)
     entry.addr = physTo;
     entry.data = data;
     entry.loc = loc;
-    entry.enqueueTick = curTick();
+    entry.enqueueTick = events_.now();
     entry.readyTick = entry.enqueueTick;
     entry.isRemapCopy = true;
     scheme_->onWriteEnqueued(*this, entry);
@@ -973,7 +940,7 @@ MemoryController::injectPhysicalWrite(Addr physTo, const LineData &data)
         smb.id = nextId_++;
         smb.addr = physTo;
         smb.kind = ReadKind::StaleBlock;
-        smb.enqueueTick = curTick();
+        smb.enqueueTick = events_.now();
         smb.loc = loc;
         smb.writeId = entry.id;
         internalReads_.push_back(std::move(smb));

@@ -89,21 +89,6 @@ struct ControllerConfig
      */
     bool latencySurface = true;
     /**
-     * Channel-engine workers: 0 runs the legacy single global event
-     * queue; N >= 1 gives every channel its own event queue driven by
-     * the windowed barrier protocol (byte-identical results for every
-     * N >= 1 — the worker count only changes wall-clock time).
-     */
-    unsigned channelThreads = 0;
-    /**
-     * Barrier horizon for the channel engine, in ns (0 = auto: tRCD +
-     * tCL). Larger windows amortize barrier cost; the horizon
-     * quantizes cross-channel delivery ticks, so it is a simulation
-     * parameter — results are invariant in channelThreads at a fixed
-     * lookahead, not across lookaheads.
-     */
-    double lookaheadNs = 0.0;
-    /**
      * Per-write causal latency attribution: decompose every data
      * write's end-to-end latency into blame components (dependency /
      * queue / bank / tRCD / base / location / content / scheme) that
@@ -121,25 +106,6 @@ inline constexpr unsigned blameComponentCount = 8;
 
 /** Canonical component names, in WriteAttribution field order. */
 const char *const *blameComponentNames();
-
-/**
- * Deferred cross-domain effects a channel accumulates while running a
- * window: read-completion callbacks into the cores (frontend domain)
- * and retry notifications. The System drains outboxes at each barrier
- * in ascending channel order, preserving the original completion
- * ticks in the payloads while scheduling the callbacks at the window
- * boundary on the frontend queue.
- */
-struct ChannelOutbox
-{
-    struct Delivery
-    {
-        Tick when; //!< original completion tick (callback payload)
-        std::function<void()> fn;
-    };
-    std::vector<Delivery> deliveries;
-    bool retryPending = false;
-};
 
 /** Per-channel memory controller. */
 class MemoryController
@@ -207,39 +173,10 @@ class MemoryController
     MetadataCache &metadataCache() { return metaCache_; }
     const MemoryGeometry &geometry() const { return geo_; }
     const AddressMap &addressMap() const { return map_; }
-    EventQueue &events() { return *events_; }
+    EventQueue &events() { return events_; }
 
     /** Install a wear-leveling remapper (nullptr = identity). */
     void setRemapper(AddressRemapper *remapper) { remapper_ = remapper; }
-
-    // ------------------------------------------------------------------
-    // Channel-engine wiring (all nullptr/shared in legacy mode)
-    // ------------------------------------------------------------------
-
-    /** Point the controller at a different event queue (its own
-     *  per-channel queue when the engine is on, or back to the shared
-     *  queue when it is torn down). Only legal while no controller
-     *  events are scheduled. */
-    void rebindEventQueue(EventQueue &events) { events_ = &events; }
-
-    /** Frontend clock override: while set, curTick() reads this clock
-     *  instead of the controller's own queue. The System sets it for
-     *  the serial frontend phase of every window so processor-side
-     *  entry points timestamp against frontend time. */
-    void setFrontendClock(const Tick *clock) { frontendClock_ = clock; }
-
-    /** Frontend event queue for forwarding-path read completions
-     *  (write-queue hits complete without touching the channel's
-     *  array, so their callbacks belong to the frontend domain). */
-    void setFrontendQueue(EventQueue *queue) { frontendQueue_ = queue; }
-
-    /** Outbox for deferred cross-domain effects (nullptr = deliver
-     *  inline, the legacy behaviour). */
-    void setOutbox(ChannelOutbox *outbox) { outbox_ = outbox; }
-
-    /** Fire the retry listeners now (barrier-phase delivery of a
-     *  deferred notifyRetry). */
-    void deliverRetries();
 
     /**
      * Install a cycle-level event trace sink (nullptr = off). The
@@ -330,10 +267,7 @@ class MemoryController
         bool issued = false;
     };
 
-    EventQueue *events_;
-    const Tick *frontendClock_ = nullptr;
-    EventQueue *frontendQueue_ = nullptr;
-    ChannelOutbox *outbox_ = nullptr;
+    EventQueue &events_;
     ControllerConfig cfg_;
     MemoryGeometry geo_;
     AddressMap map_;
@@ -369,15 +303,6 @@ class MemoryController
     std::uint32_t mBlame_[blameComponentCount] = {};
 
     Tick tRcd_, tCl_, tBurst_;
-
-    /** Current time for timestamping: the frontend clock while a
-     *  frontend-phase call is executing, the controller's own queue
-     *  otherwise. Identical to events_->now() in legacy mode. */
-    Tick
-    curTick() const
-    {
-        return frontendClock_ ? *frontendClock_ : events_->now();
-    }
 
     Addr physAddr(Addr lineAddr);
     unsigned bankIndex(const BlockLocation &loc) const;

@@ -172,27 +172,6 @@ class WriteScheme
     }
 
     /**
-     * Channel-engine support: partition the scheme's mutable state
-     * (sampled statistics, shadow-counter caches) into @p channels
-     * shards so channel workers touch disjoint shards. Stateless
-     * schemes need not override. Called once, before any write is
-     * enqueued.
-     */
-    virtual void
-    setChannelShards(unsigned channels)
-    {
-        (void)channels;
-    }
-
-    /**
-     * Fold per-channel stat shards into the scheme's primary stats,
-     * in ascending channel order (FP summation order is part of the
-     * determinism contract). Called at stat-reset and run-end; a
-     * no-op for schemes without shards.
-     */
-    virtual void foldChannelShards() {}
-
-    /**
      * Address-dependent data encoding applied before the bits reach
      * the array (LADDER-Est's intra-line bit shifting). Must be
      * exactly inverted by decodeData.

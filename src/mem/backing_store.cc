@@ -17,8 +17,6 @@ BackingStore::BackingStore(const MemoryGeometry &geo, bool trackBitlines,
     ladder_assert(backgroundDensity >= 0.0 && backgroundDensity <= 1.0,
                   "background density out of range");
     ladder_assert(geo_.channels > 0, "geometry needs >= 1 channel");
-    pages_.resize(geo_.channels);
-    groupCounters_.resize(geo_.channels);
 }
 
 void
@@ -30,12 +28,11 @@ BackingStore::setPageInitializer(PageInitializer init)
 PageContent &
 BackingStore::page(std::uint64_t pageIndex)
 {
-    auto &shard = pages_[pageIndex % geo_.channels];
-    auto it = shard.find(pageIndex);
-    if (it != shard.end())
+    auto it = pages_.find(pageIndex);
+    if (it != pages_.end())
         return it->second;
 
-    PageContent &content = shard[pageIndex];
+    PageContent &content = pages_[pageIndex];
     if (init_)
         init_(pageIndex, content);
     // Establish the mat counters from the initial content.
@@ -79,10 +76,9 @@ BackingStore::matGroupKey(const BlockLocation &loc) const
 BackingStore::MatGroupCounters &
 BackingStore::groupCounters(const BlockLocation &loc)
 {
-    auto &shard = groupCounters_[loc.channel];
     auto key = matGroupKey(loc);
-    auto it = shard.find(key);
-    if (it == shard.end()) {
+    auto it = groupCounters_.find(key);
+    if (it == groupCounters_.end()) {
         auto counters = std::make_unique<MatGroupCounters>();
         // Rows outside the simulated working set are assumed occupied
         // by background data at the configured density.
@@ -92,7 +88,7 @@ BackingStore::groupCounters(const BlockLocation &loc)
             static_cast<std::size_t>(MemoryGeometry::matsPerGroup) *
                 geo_.matCols,
             background);
-        it = shard.emplace(key, std::move(counters)).first;
+        it = groupCounters_.emplace(key, std::move(counters)).first;
     }
     return *it->second;
 }
@@ -151,7 +147,7 @@ BackingStore::applyBitlineDeltas(const BlockLocation &loc,
 bool
 BackingStore::pageResident(std::uint64_t pageIndex) const
 {
-    return pages_[pageIndex % geo_.channels].count(pageIndex) != 0;
+    return pages_.count(pageIndex) != 0;
 }
 
 std::uint16_t

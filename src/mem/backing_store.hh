@@ -102,14 +102,7 @@ class BackingStore
     void setFlipped(Addr lineAddr, bool value);
 
     /** Number of materialized pages. */
-    std::size_t
-    residentPages() const
-    {
-        std::size_t total = 0;
-        for (const auto &shard : pages_)
-            total += shard.size();
-        return total;
-    }
+    std::size_t residentPages() const { return pages_.size(); }
 
     const AddressMap &addressMap() const { return map_; }
     const MemoryGeometry &geometry() const { return geo_; }
@@ -126,17 +119,8 @@ class BackingStore
     bool trackBitlines_;
     double backgroundDensity_;
     PageInitializer init_;
-    /**
-     * Page and counter maps are sharded by channel (a 4KB page maps
-     * entirely to channel pageIndex % channels, and a mat group lives
-     * in exactly one channel's banks), so channel-engine workers touch
-     * disjoint shards without locks. Content is keyed identically to
-     * the former single maps and no caller iterates them, so sharding
-     * is observationally free in legacy mode.
-     */
-    std::vector<std::unordered_map<std::uint64_t, PageContent>> pages_;
-    std::vector<std::unordered_map<std::uint64_t,
-                                   std::unique_ptr<MatGroupCounters>>>
+    std::unordered_map<std::uint64_t, PageContent> pages_;
+    std::unordered_map<std::uint64_t, std::unique_ptr<MatGroupCounters>>
         groupCounters_;
 
     PageContent &page(std::uint64_t pageIndex);

@@ -37,10 +37,7 @@ LadderBasicScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     // pre-write C_w equals the backing store's ground truth (scanned
     // once per dispatch by the controller).
     unsigned cw = entry.dispatchCw;
-    if (accurateCwShards_.empty())
-        accurateCw.sample(cw);
-    else
-        accurateCwShards_[entry.loc.channel].sample(cw);
+    accurateCw.sample(cw);
     const TimingEntry &t = ctrl.ladderTiming(
         entry.loc.wordline, entry.loc.worstBitline(), cw);
     return {t.latencyNs, t.powerMw};
@@ -80,22 +77,6 @@ LadderBasicScheme::onWriteComplete(MemoryController &ctrl,
         Addr metaAddr = entry.metaAddrs[half];
         if (ctrl.metadataCache().contains(metaAddr))
             ctrl.metadataCache().markDirty(metaAddr);
-    }
-}
-
-void
-LadderBasicScheme::setChannelShards(unsigned channels)
-{
-    ladder_assert(channels > 0, "need >= 1 channel shard");
-    accurateCwShards_.assign(channels, StatAverage{});
-}
-
-void
-LadderBasicScheme::foldChannelShards()
-{
-    for (auto &shard : accurateCwShards_) {
-        accurateCw.mergeFrom(shard);
-        shard = StatAverage{};
     }
 }
 
@@ -154,13 +135,12 @@ LadderEstScheme::decodeData(Addr addr, const LineData &data) const
 std::array<std::uint8_t, 64> &
 LadderEstScheme::pageShadow(MemoryController &ctrl, std::uint64_t page)
 {
-    ShadowMap &shard = shadowShard(page);
-    auto it = shard.find(page);
-    if (it != shard.end())
+    auto it = shadow_.find(page);
+    if (it != shadow_.end())
         return it->second;
     // First touch: derive the packed counters from the resident
     // content, as if the metadata had been maintained since boot.
-    auto &packed = shard[page];
+    auto &packed = shadow_[page];
     for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
         Addr blockAddr = page * MemoryGeometry::pageBytes +
                          static_cast<Addr>(b) * lineBytes;
@@ -183,13 +163,10 @@ LadderEstScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
 {
     auto &packed = pageShadow(ctrl, entry.loc.pageIndex);
     unsigned cwEst = estimateCw2(packed);
-    estimatedCwStat(entry.loc.channel).sample(cwEst);
+    estimatedCw.sample(cwEst);
     unsigned cwTrue = entry.dispatchCw;
-    StatAverage &diff = counterDiffShards_.empty()
-                            ? counterDiff
-                            : counterDiffShards_[entry.loc.channel];
-    diff.sample(static_cast<double>(cwEst) -
-                static_cast<double>(cwTrue));
+    counterDiff.sample(static_cast<double>(cwEst) -
+                       static_cast<double>(cwTrue));
 
     const TimingEntry &t = ctrl.ladderTiming(
         entry.loc.wordline, entry.loc.worstBitline(), cwEst);
@@ -225,34 +202,8 @@ LadderEstScheme::crashRecover()
     // Paper §7: conservatively overwrite all (possibly stale)
     // metadata with maximum counter values; later writes gradually
     // re-tighten them.
-    for (auto &shard : shadow_)
-        for (auto &entry : shard)
-            entry.second.fill(0xff);
-}
-
-void
-LadderEstScheme::setChannelShards(unsigned channels)
-{
-    ladder_assert(channels > 0, "need >= 1 channel shard");
-    for (const auto &shard : shadow_)
-        ladder_assert(shard.empty(),
-                      "resharding a populated shadow map");
-    shadow_.assign(channels, ShadowMap{});
-    counterDiffShards_.assign(channels, StatAverage{});
-    estimatedCwShards_.assign(channels, StatAverage{});
-}
-
-void
-LadderEstScheme::foldChannelShards()
-{
-    for (auto &shard : counterDiffShards_) {
-        counterDiff.mergeFrom(shard);
-        shard = StatAverage{};
-    }
-    for (auto &shard : estimatedCwShards_) {
-        estimatedCw.mergeFrom(shard);
-        shard = StatAverage{};
-    }
+    for (auto &entry : shadow_)
+        entry.second.fill(0xff);
 }
 
 // --------------------------------------------------------------------
@@ -270,19 +221,8 @@ void
 LadderHybridScheme::crashRecover()
 {
     LadderEstScheme::crashRecover();
-    for (auto &shard : lowShadow_)
-        for (auto &entry : shard)
-            entry.second.fill(0x03);
-}
-
-void
-LadderHybridScheme::setChannelShards(unsigned channels)
-{
-    LadderEstScheme::setChannelShards(channels);
-    for (const auto &shard : lowShadow_)
-        ladder_assert(shard.empty(),
-                      "resharding a populated shadow map");
-    lowShadow_.assign(channels, ShadowMap{});
+    for (auto &entry : lowShadow_)
+        entry.second.fill(0x03);
 }
 
 bool
@@ -297,11 +237,10 @@ std::array<std::uint8_t, 64> &
 LadderHybridScheme::lowPageShadow(MemoryController &ctrl,
                                   std::uint64_t page)
 {
-    ShadowMap &shard = lowShadowShard(page);
-    auto it = shard.find(page);
-    if (it != shard.end())
+    auto it = lowShadow_.find(page);
+    if (it != lowShadow_.end())
         return it->second;
-    auto &packed = shard[page];
+    auto &packed = lowShadow_[page];
     for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
         Addr blockAddr = page * MemoryGeometry::pageBytes +
                          static_cast<Addr>(b) * lineBytes;
@@ -332,7 +271,7 @@ LadderHybridScheme::decideWrite(MemoryController &ctrl,
 
     auto &packed = lowPageShadow(ctrl, entry.loc.pageIndex);
     unsigned cwEst = estimateCw1(packed);
-    estimatedCwStat(entry.loc.channel).sample(cwEst);
+    estimatedCw.sample(cwEst);
     const TimingEntry &t = ctrl.ladderTiming(
         entry.loc.wordline, entry.loc.worstBitline(), cwEst);
 

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/stats.hh"
 #include "ctrl/controller.hh"
@@ -47,17 +46,12 @@ class LadderBasicScheme : public WriteScheme
         const MemoryController &ctrl, const WriteEntry &entry,
         const WriteDecision &decision) const override;
     bool constrainedFnw() const override { return true; }
-    void setChannelShards(unsigned channels) override;
-    void foldChannelShards() override;
 
     /** Accurate C_w sampled per write (Fig. 15 reference series). */
     StatAverage accurateCw;
 
   private:
     std::shared_ptr<MetadataLayout> layout_;
-    /** Per-channel sample shards (engine mode only; empty = legacy,
-     *  sampling straight into accurateCw). */
-    std::vector<StatAverage> accurateCwShards_;
 };
 
 /** LADDER-Est: partial-counter estimation + bit-level shifting. */
@@ -90,8 +84,6 @@ class LadderEstScheme : public WriteScheme
         const MemoryController &ctrl, const WriteEntry &entry,
         const WriteDecision &decision) const override;
     bool constrainedFnw() const override { return true; }
-    void setChannelShards(unsigned channels) override;
-    void foldChannelShards() override;
 
     /** Signed difference (estimated - accurate) per write (Fig. 15). */
     StatAverage counterDiff;
@@ -114,28 +106,8 @@ class LadderEstScheme : public WriteScheme
     std::shared_ptr<MetadataLayout> layout_;
     bool shifting_;
 
-    /**
-     * Shadow contents of the per-page metadata lines, sharded by page
-     * channel (page % shard count) so engine workers touch disjoint
-     * maps. One shard in legacy mode; first-touch derivation depends
-     * only on the page content, so shard count never changes values.
-     */
-    std::vector<ShadowMap> shadow_{1};
-    /** Per-channel sample shards (engine mode only; empty = legacy). */
-    std::vector<StatAverage> counterDiffShards_;
-    std::vector<StatAverage> estimatedCwShards_;
-
-    ShadowMap &
-    shadowShard(std::uint64_t page)
-    {
-        return shadow_[page % shadow_.size()];
-    }
-    StatAverage &
-    estimatedCwStat(unsigned channel)
-    {
-        return estimatedCwShards_.empty() ? estimatedCw
-                                          : estimatedCwShards_[channel];
-    }
+    /** Shadow contents of the per-page metadata lines, keyed by page. */
+    ShadowMap shadow_;
 
     std::array<std::uint8_t, 64> &pageShadow(MemoryController &ctrl,
                                              std::uint64_t page);
@@ -155,21 +127,13 @@ class LadderHybridScheme : public LadderEstScheme
     WriteDecision decideWrite(MemoryController &ctrl, WriteEntry &entry,
                               const LineData &finalData) override;
     void crashRecover() override;
-    void setChannelShards(unsigned channels) override;
 
     unsigned lowRows() const { return lowRows_; }
 
   private:
     unsigned lowRows_;
-    /** Shadow of 1-bit metadata, keyed by page (sharded like the
-     *  2-bit shadow in the base class). */
-    std::vector<ShadowMap> lowShadow_{1};
-
-    ShadowMap &
-    lowShadowShard(std::uint64_t page)
-    {
-        return lowShadow_[page % lowShadow_.size()];
-    }
+    /** Shadow of 1-bit metadata, keyed by page. */
+    ShadowMap lowShadow_;
 
     bool lowPrecision(const BlockLocation &loc) const;
     std::array<std::uint8_t, 64> &lowPageShadow(MemoryController &ctrl,

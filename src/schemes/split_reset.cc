@@ -58,13 +58,9 @@ SplitResetScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     // Compression is decided on the logical data the processor sent.
     bool compressible = fpcCompressible(entry.data);
     if (compressible)
-        ++(compressibleShards_.empty()
-               ? compressibleWrites
-               : compressibleShards_[entry.loc.channel]);
+        ++compressibleWrites;
     else
-        ++(incompressibleShards_.empty()
-               ? incompressibleWrites
-               : incompressibleShards_[entry.loc.channel]);
+        ++incompressibleWrites;
 
     // The half-RESET model carries its own dense surface; honour the
     // controller's surface switch so differential runs stay exact.
@@ -98,26 +94,6 @@ SplitResetScheme::attributeWrite(const MemoryController &ctrl,
                                              : decision.latencyNs;
     return {halfModel_.location.bestLatencyNs(), singlePhaseNs,
             singlePhaseNs};
-}
-
-void
-SplitResetScheme::setChannelShards(unsigned channels)
-{
-    compressibleShards_.assign(channels, StatScalar{});
-    incompressibleShards_.assign(channels, StatScalar{});
-}
-
-void
-SplitResetScheme::foldChannelShards()
-{
-    for (auto &shard : compressibleShards_) {
-        compressibleWrites.mergeFrom(shard);
-        shard = StatScalar{};
-    }
-    for (auto &shard : incompressibleShards_) {
-        incompressibleWrites.mergeFrom(shard);
-        shard = StatScalar{};
-    }
 }
 
 } // namespace ladder

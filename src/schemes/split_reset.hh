@@ -10,7 +10,6 @@
 #ifndef LADDER_SCHEMES_SPLIT_RESET_HH
 #define LADDER_SCHEMES_SPLIT_RESET_HH
 
-#include <vector>
 
 #include "common/stats.hh"
 #include "ctrl/controller.hh"
@@ -44,17 +43,12 @@ class SplitResetScheme : public WriteScheme
     WriteBlameHint attributeWrite(
         const MemoryController &ctrl, const WriteEntry &entry,
         const WriteDecision &decision) const override;
-    void setChannelShards(unsigned channels) override;
-    void foldChannelShards() override;
 
     StatScalar compressibleWrites;
     StatScalar incompressibleWrites;
 
   private:
     const TimingModel &halfModel_;
-    /** Per-channel count shards (engine mode only; empty = legacy). */
-    std::vector<StatScalar> compressibleShards_;
-    std::vector<StatScalar> incompressibleShards_;
 };
 
 } // namespace ladder

@@ -384,25 +384,6 @@ registerExperimentParams(Registry &reg)
     reg.addDouble("ctrl.transition-energy-pj",
                   LADDER_FIELD(system.controller.transitionEnergyPj),
                   "Energy per cell switched on writes", 0.0, 1e6);
-    reg.addInt<unsigned>(
-           "ctrl.channel-threads",
-           LADDER_FIELD(system.controller.channelThreads),
-           "Channel-engine workers (0 = legacy shared event queue; "
-           "any N >= 1 runs per-channel queues with barrier commit, "
-           "byte-identical across every N >= 1)",
-           0, 256)
-        .inManifest = false;
-    reg.addDouble("ctrl.lookahead",
-                  LADDER_FIELD(system.controller.lookaheadNs),
-                  "Channel-engine barrier window in ns (0 = auto: "
-                  "tRCD + tCL); fixed lookahead keeps results "
-                  "invariant across worker counts",
-                  0.0, 1e6)
-        .inManifest = false;
-    reg.addChoice("pool.pin", LADDER_FIELD(system.poolPin),
-                  "Channel-worker CPU affinity (host hint only)",
-                  {"off", "cores"})
-        .inManifest = false;
 
     // ---------------------------------------------------------------
     // Cache hierarchy
@@ -824,6 +805,8 @@ resolveExperiment(int argc, const char *const *argv,
         out.config.cliAssignments.emplace_back(a.key, a.value);
     }
 
+    validateCacheGeometry(out.config.system.caches, "resolved config");
+
     // CLI scheme/workload selections override the sweep spec's lists.
     if (schemesFromCli) {
         out.schemes =
@@ -836,6 +819,25 @@ resolveExperiment(int argc, const char *const *argv,
         out.workloadsExplicit = true;
     }
     return out;
+}
+
+void
+validateCacheGeometry(const HierarchyParams &caches,
+                      const std::string &source)
+{
+    const std::pair<const char *, const CacheParams *> levels[] = {
+        {"l1", &caches.l1}, {"l2", &caches.l2}, {"l3", &caches.l3}};
+    for (const auto &[level, params] : levels) {
+        const std::size_t entries = params->sizeBytes / lineBytes;
+        if (entries >= params->ways && entries % params->ways == 0)
+            continue;
+        fatal("%s: cache.%s-bytes=%zu does not divide into "
+              "cache.%s-ways=%u sets of %u-byte lines — use a "
+              "multiple of %zu bytes",
+              source.c_str(), level, params->sizeBytes, level,
+              params->ways, lineBytes,
+              static_cast<std::size_t>(params->ways) * lineBytes);
+    }
 }
 
 void

@@ -76,6 +76,15 @@ struct ResolvedExperiment
 };
 
 /**
+ * Reject a cache geometry the Cache constructor would assert on: each
+ * level's capacity must hold a whole, non-zero number of `ways`-line
+ * sets. Fatal, naming the offending key; @p source names the layer
+ * being checked.
+ */
+void validateCacheGeometry(const HierarchyParams &caches,
+                           const std::string &source);
+
+/**
  * Resolve an experiment invocation from @p argv over the @p base
  * defaults. Recognizes the meta keys `config=`, `sweep=`,
  * `scheme[s]=`, `workload[s]=` (CSV lists, validated against the

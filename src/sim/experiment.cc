@@ -74,14 +74,19 @@ makeSystemConfig(SchemeKind scheme, const std::string &workload,
     sys.controller.fnwMode = config.fnwMode;
     sys.epochCycles = config.epochCycles;
     if (config.cacheScale != 1.0) {
-        auto scale = [&](std::size_t bytes) {
-            std::size_t scaled = static_cast<std::size_t>(
-                static_cast<double>(bytes) * config.cacheScale);
-            // Keep a sane minimum and way-divisibility.
-            return std::max<std::size_t>(scaled, 8 * 1024);
+        auto scale = [&](const CacheParams &cache) {
+            // Round down to whole sets and keep an 8 KB minimum (also
+            // whole sets), so the scaled size stays way-divisible.
+            const std::size_t setBytes =
+                static_cast<std::size_t>(cache.ways) * lineBytes;
+            const std::size_t scaled = static_cast<std::size_t>(
+                static_cast<double>(cache.sizeBytes) * config.cacheScale);
+            const std::size_t floor =
+                (8 * 1024 + setBytes - 1) / setBytes * setBytes;
+            return std::max(scaled / setBytes * setBytes, floor);
         };
-        sys.caches.l2.sizeBytes = scale(sys.caches.l2.sizeBytes);
-        sys.caches.l3.sizeBytes = scale(sys.caches.l3.sizeBytes);
+        sys.caches.l2.sizeBytes = scale(sys.caches.l2);
+        sys.caches.l3.sizeBytes = scale(sys.caches.l3);
         sys.workingSetScale *= config.cacheScale;
     }
     return sys;
@@ -143,6 +148,8 @@ cellConfig(SchemeKind scheme, const std::string &workload,
         for (const auto &kv : config.cliAssignments)
             experimentRegistry().set(effective, kv.first, kv.second,
                                      "command line");
+        validateCacheGeometry(effective.system.caches,
+                              "sweep cell " + runDirName(scheme, workload));
     }
     return effective;
 }

@@ -1,14 +1,11 @@
 #include "system.hh"
 
-#include <chrono>
-#include <future>
 #include <mutex>
 #include <ostream>
 #include <set>
 
 #include "circuit/fastmodel.hh"
 #include "common/log.hh"
-#include "common/metrics.hh"
 #include "common/profiler.hh"
 #include "reram/latency_surface.hh"
 #include "schemes/ladder_schemes.hh"
@@ -111,33 +108,10 @@ System::System(const SystemConfig &config) : config_(config)
     scheme_ = makeScheme(config_.scheme, config_.crossbar, layout_,
                          config_.schemeOptions);
 
-    // Channel engine: one event queue per channel plus the protocol
-    // plumbing. The worker count only changes wall-clock time; any
-    // channelThreads >= 1 yields byte-identical results because the
-    // window protocol (not thread scheduling) orders every merge.
-    channelEngine_ = config_.controller.channelThreads > 0;
-    if (channelEngine_) {
-        double horizonNs = config_.controller.lookaheadNs;
-        if (horizonNs <= 0.0)
-            horizonNs = config_.controller.tRcdNs +
-                        config_.controller.tClNs;
-        lookahead_ = std::max<Tick>(nsToTicks(horizonNs), 1);
-        scheme_->setChannelShards(config_.geometry.channels);
-        outboxes_.resize(config_.geometry.channels);
-        for (unsigned ch = 0; ch < config_.geometry.channels; ++ch)
-            channelQueues_.push_back(
-                std::make_unique<EventQueue>());
-    }
-
     for (unsigned ch = 0; ch < config_.geometry.channels; ++ch) {
         controllers_.push_back(std::make_unique<MemoryController>(
-            channelEngine_ ? *channelQueues_[ch] : events_,
-            config_.controller, config_.geometry, ch, *store_,
+            events_, config_.controller, config_.geometry, ch, *store_,
             *timing_, scheme_));
-        if (channelEngine_) {
-            controllers_.back()->setFrontendQueue(&events_);
-            controllers_.back()->setOutbox(&outboxes_[ch]);
-        }
         statGroups_.emplace_back("ctrl" + std::to_string(ch));
     }
     for (unsigned ch = 0; ch < controllers_.size(); ++ch)
@@ -262,57 +236,14 @@ void
 System::setRemapper(AddressRemapper *remapper)
 {
     remapper_ = remapper;
-    if (remapper && channelEngine_)
-        disableChannelEngine(
-            "wear-leveling line copies cross channels");
     for (auto &ctrl : controllers_)
         ctrl->setRemapper(remapper);
-}
-
-void
-System::disableChannelEngine(const char *reason)
-{
-    // Observable fallback: monitors watching the heartbeat see the
-    // gauge flip to 1 even when stderr is discarded, and warn_once
-    // keeps parallel sweeps from repeating the message per cell.
-    warn_once("channel engine disabled: %s; running on the shared "
-              "queue",
-              reason);
-    static const metrics::MetricId fallbackGauge =
-        metrics::registerGauge("engine.fallback");
-    metrics::set(fallbackGauge, 1);
-    for (auto &queue : channelQueues_)
-        ladder_assert(queue->empty(),
-                      "disabling the channel engine mid-run");
-    for (auto &ctrl : controllers_) {
-        ctrl->rebindEventQueue(events_);
-        ctrl->setFrontendQueue(nullptr);
-        ctrl->setOutbox(nullptr);
-        ctrl->setTraceSink(traceSink_);
-    }
-    channelEngine_ = false;
-    channelQueues_.clear();
-    outboxes_.clear();
-    traceStaging_.clear();
-    channelPool_.reset();
 }
 
 void
 System::attachTraceSink(WriteTraceSink *sink)
 {
     traceSink_ = sink;
-    if (channelEngine_ && sink) {
-        // Channel workers record into private buffers; the barrier
-        // merges them into the real sink by (tick, channel).
-        if (traceStaging_.empty()) {
-            for (std::size_t ch = 0; ch < controllers_.size(); ++ch)
-                traceStaging_.push_back(
-                    std::make_unique<WriteTraceSink>());
-        }
-        for (std::size_t ch = 0; ch < controllers_.size(); ++ch)
-            controllers_[ch]->setTraceSink(traceStaging_[ch].get());
-        return;
-    }
     for (auto &ctrl : controllers_)
         ctrl->setTraceSink(sink);
 }
@@ -337,18 +268,12 @@ void
 System::scheduleEpochSnapshot(Tick when, Tick epochTicks,
                               const unsigned *pending)
 {
-    // The channel engine clamps window ends to the next snapshot, so
-    // every channel has executed exactly the events before `when`
-    // when the capture runs — the same cut a sequential run makes.
-    nextEpochTick_ = when;
     events_.schedule(when, [this, when, epochTicks, pending]() {
         // Stop once every core has finished its measured window so
         // the event queue can drain; the final partial epoch is not
         // sampled (its interval is shorter than epochCycles).
-        if (*pending == 0) {
-            nextEpochTick_ = maxTick;
+        if (*pending == 0)
             return;
-        }
         captureEpoch(when);
         scheduleEpochSnapshot(when + epochTicks, epochTicks, pending);
     });
@@ -357,9 +282,6 @@ System::scheduleEpochSnapshot(Tick when, Tick epochTicks,
 void
 System::resetStats()
 {
-    // Fold outstanding per-channel scheme shards first so the reset
-    // below clears them along with the primaries.
-    scheme_->foldChannelShards();
     for (auto &group : statGroups_)
         group.resetAll();
     for (auto &ctrl : controllers_) {
@@ -392,8 +314,7 @@ System::run(std::uint64_t warmupInstr, std::uint64_t measureInstr)
     for (auto &core : cores_) {
         core->runPhase(ramp, [&pending]() { --pending; });
     }
-    nextEpochTick_ = maxTick;
-    runEventLoop();
+    events_.runUntil(maxTick);
     ladder_assert(pending == 0,
                   "deadlock: %u cores stuck in warmup (events drained)",
                   pending);
@@ -434,11 +355,10 @@ System::run(std::uint64_t warmupInstr, std::uint64_t measureInstr)
             config_.core.freqGhz);
         if (epochTicks == 0)
             epochTicks = 1;
-        epochTicks_ = epochTicks;
         scheduleEpochSnapshot(events_.now() + epochTicks, epochTicks,
                               &pending);
     }
-    runEventLoop();
+    events_.runUntil(maxTick);
     ladder_assert(pending == 0,
                   "deadlock: %u cores stuck in measurement", pending);
 
@@ -488,8 +408,6 @@ System::run(std::uint64_t warmupInstr, std::uint64_t measureInstr)
     result.avgWriteTwrNs =
         writeServCount ? writeTwrWeighted / writeServCount : 0.0;
 
-    // Channel-order fold of the measured window's scheme samples.
-    scheme_->foldChannelShards();
     if (auto *est = dynamic_cast<LadderEstScheme *>(scheme_.get())) {
         result.estCounterDiffMean = est->counterDiff.mean();
         result.estimatedCwMean = est->estimatedCw.mean();
@@ -499,162 +417,6 @@ System::run(std::uint64_t warmupInstr, std::uint64_t measureInstr)
         result.accurateCwMean = basic->accurateCw.mean();
     }
     return result;
-}
-
-void
-System::runEventLoop()
-{
-    if (!channelEngine_) {
-        events_.runUntil(maxTick);
-        return;
-    }
-    runWindowedLoop();
-}
-
-void
-System::mergeTraceStaging()
-{
-    if (!traceSink_ || traceStaging_.empty())
-        return;
-    // Every staged buffer is tick-sorted (each channel records in its
-    // own event order), so a k-way merge keyed (tick, channel) yields
-    // the exact global order a sequential run would have produced.
-    std::vector<std::size_t> pos(traceStaging_.size(), 0);
-    for (;;) {
-        std::size_t best = traceStaging_.size();
-        Tick bestTick = maxTick;
-        for (std::size_t ch = 0; ch < traceStaging_.size(); ++ch) {
-            const auto &records = traceStaging_[ch]->records();
-            if (pos[ch] >= records.size())
-                continue;
-            Tick tick = records[pos[ch]].tick;
-            if (best == traceStaging_.size() || tick < bestTick) {
-                best = ch;
-                bestTick = tick;
-            }
-        }
-        if (best == traceStaging_.size())
-            break;
-        traceSink_->record(
-            traceStaging_[best]->records()[pos[best]++]);
-    }
-    for (auto &staging : traceStaging_)
-        staging->clear();
-}
-
-void
-System::runWindowedLoop()
-{
-    const unsigned channels =
-        static_cast<unsigned>(controllers_.size());
-    const unsigned workers =
-        std::min(config_.controller.channelThreads, channels);
-    if (workers > 1 && !channelPool_)
-        channelPool_ = std::make_unique<ThreadPool>(
-            workers, config_.poolPin == "cores");
-    const bool profiling = prof::enabled();
-    if (profiling && evqDepthCounterNames_.empty()) {
-        for (unsigned ch = 0; ch < channels; ++ch)
-            evqDepthCounterNames_.push_back(prof::internName(
-                "engine.ch" + std::to_string(ch) + ".evq_depth"));
-    }
-
-    std::vector<std::future<void>> futures;
-    futures.reserve(channels);
-    std::uint64_t window = 0;
-    for (;; ++window) {
-        // Window bounds: free-run every queue up to (exclusive) the
-        // earliest pending event plus the lookahead horizon. All
-        // queue clocks sit at the previous window's end, so minNext
-        // can never trail any clock.
-        Tick minNext = events_.nextEventTick();
-        for (auto &queue : channelQueues_)
-            minNext = std::min(minNext, queue->nextEventTick());
-        if (minNext == maxTick)
-            break; // fully drained
-        Tick end = maxTick - lookahead_ > minNext
-                       ? minNext + lookahead_
-                       : maxTick - 1;
-        const Tick front = events_.now();
-        if (nextEpochTick_ != maxTick) {
-            // Epoch snapshots must observe the exact same cut a
-            // sequential run makes: never let channels run past the
-            // next snapshot. A snapshot due right now executes in
-            // this window's frontend phase and reschedules; clamp to
-            // its successor instead (end == front would not advance).
-            ladder_assert(nextEpochTick_ >= front,
-                          "epoch snapshot behind the frontend clock");
-            if (nextEpochTick_ > front)
-                end = std::min(end, nextEpochTick_);
-            else if (epochTicks_ > 0)
-                end = std::min(end, front + epochTicks_);
-        }
-
-        if (profiling && (window & 15u) == 0) {
-            for (unsigned ch = 0; ch < channels; ++ch)
-                PROF_COUNTER(
-                    evqDepthCounterNames_[ch],
-                    static_cast<double>(
-                        channelQueues_[ch]->pending()));
-        }
-
-        // Phase A — frontend, serial: cores, caches, and the
-        // processor-side controller entry points, which timestamp
-        // against the frontend clock.
-        for (auto &ctrl : controllers_)
-            ctrl->setFrontendClock(events_.nowPtr());
-        events_.runBefore(end);
-        for (auto &ctrl : controllers_)
-            ctrl->setFrontendClock(nullptr);
-
-        // Phase B — channels, parallel (or inline, same order, when
-        // a single worker is configured): strictly channel-confined
-        // state, no frontend interaction until the barrier.
-        if (workers <= 1 || channels <= 1) {
-            for (auto &queue : channelQueues_)
-                queue->runBefore(end);
-        } else {
-            const auto barrierStart =
-                profiling ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-            futures.clear();
-            for (auto &queue : channelQueues_) {
-                EventQueue *q = queue.get();
-                futures.push_back(channelPool_->submit(
-                    [q, end]() { q->runBefore(end); }));
-            }
-            for (auto &future : futures)
-                future.get();
-            if (profiling && (window & 15u) == 0) {
-                PROF_COUNTER(
-                    "engine.barrier_wait_ns",
-                    static_cast<double>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() -
-                            barrierStart)
-                            .count()));
-            }
-        }
-
-        // Barrier — merge side effects in fixed channel order. The
-        // deliveries land at the window boundary with priority -1 so
-        // they precede same-tick frontend work, and their payloads
-        // carry the true completion ticks.
-        mergeTraceStaging();
-        for (unsigned ch = 0; ch < channels; ++ch) {
-            ChannelOutbox &outbox = outboxes_[ch];
-            for (auto &delivery : outbox.deliveries)
-                events_.schedule(end, std::move(delivery.fn), -1);
-            outbox.deliveries.clear();
-            if (outbox.retryPending) {
-                outbox.retryPending = false;
-                MemoryController *ctrl = controllers_[ch].get();
-                events_.schedule(
-                    end, [ctrl]() { ctrl->deliverRetries(); }, -1);
-            }
-        }
-    }
 }
 
 void

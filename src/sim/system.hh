@@ -22,7 +22,6 @@
 #include "cache/hierarchy.hh"
 #include "common/event_queue.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "cpu/core.hh"
 #include "ctrl/controller.hh"
 #include "mem/backing_store.hh"
@@ -84,12 +83,6 @@ struct SystemConfig
      * tick; see epochNames() / epochs().
      */
     std::uint64_t epochCycles = 0;
-    /**
-     * Channel-engine worker affinity: "cores" pins each persistent
-     * channel worker to a CPU (pool.pin= knob); "off" leaves
-     * placement to the OS scheduler. A host-performance hint only.
-     */
-    std::string poolPin = "off";
 };
 
 /** One periodic flattened-stats sample of the measured window. */
@@ -202,35 +195,10 @@ class System
     std::vector<std::string> epochNames_;
     std::vector<EpochSnapshot> epochs_;
 
-    /**
-     * Channel engine (controller.channelThreads > 0): every channel
-     * owns an event queue; windows of `lookahead_` ticks run the
-     * frontend serially, then all channel queues (inline or on the
-     * persistent pool), then merge side effects in channel order.
-     * Disabled (falling back to the shared queue) when a remapper is
-     * installed, since wear-leveling copies lines across channels.
-     */
-    bool channelEngine_ = false;
-    Tick lookahead_ = 1;
-    Tick epochTicks_ = 0;         //!< measured-window epoch period
-    Tick nextEpochTick_ = maxTick; //!< next snapshot (window clamp)
-    std::vector<std::unique_ptr<EventQueue>> channelQueues_;
-    std::vector<ChannelOutbox> outboxes_;
-    /** Per-channel trace buffers, merged by (tick, channel) into the
-     *  attached sink at every barrier. */
-    std::vector<std::unique_ptr<WriteTraceSink>> traceStaging_;
-    std::unique_ptr<ThreadPool> channelPool_;
-    /** Interned Perfetto counter-track names (lazy, profiling only). */
-    std::vector<const char *> evqDepthCounterNames_;
-
     void resetStats();
     void captureEpoch(Tick when);
     void scheduleEpochSnapshot(Tick when, Tick epochTicks,
                                const unsigned *pending);
-    void runEventLoop();
-    void runWindowedLoop();
-    void mergeTraceStaging();
-    void disableChannelEngine(const char *reason);
 };
 
 /** Apply the paper's full-scale parameters to a config. */

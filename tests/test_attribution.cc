@@ -224,7 +224,7 @@ TEST(Attribution, LadderBlameTableDiffAndExitContract)
     fs::remove_all(base);
 }
 
-TEST(Attribution, ExportsByteIdenticalAcrossJobsAndChannelThreads)
+TEST(Attribution, ExportsByteIdenticalAcrossJobs)
 {
     std::vector<SchemeKind> schemes = {SchemeKind::SplitReset,
                                        SchemeKind::LadderHybrid};
@@ -233,29 +233,24 @@ TEST(Attribution, ExportsByteIdenticalAcrossJobsAndChannelThreads)
         fs::path(::testing::TempDir()) / "ladder_attr_jobs";
     fs::remove_all(base);
 
-    auto sweep = [&](unsigned jobs, unsigned channelThreads,
-                     const fs::path &dir) {
+    auto sweep = [&](unsigned jobs, const fs::path &dir) {
         ExperimentConfig cfg = attrConfig((dir / "trace").string());
         cfg.jobs = jobs;
-        cfg.system.controller.channelThreads = channelThreads;
         cfg.traceFormat = "bin2";
         cfg.traceChunkRecords = 64;
         runMatrixParallel(schemes, workloads, cfg);
     };
-    sweep(1, 1, base / "j1t1");
-    sweep(8, 1, base / "j8t1");
-    sweep(1, 3, base / "j1t3");
+    sweep(1, base / "j1");
+    sweep(8, base / "j8");
 
     for (SchemeKind kind : schemes) {
         const fs::path rel =
             fs::path("trace") / runDirName(kind, "lbm") /
             "trace.bin";
-        const std::string reference = slurp(base / "j1t1" / rel);
+        const std::string reference = slurp(base / "j1" / rel);
         ASSERT_FALSE(reference.empty()) << rel;
-        EXPECT_EQ(reference, slurp(base / "j8t1" / rel))
+        EXPECT_EQ(reference, slurp(base / "j8" / rel))
             << rel << " differs between jobs=1 and jobs=8";
-        EXPECT_EQ(reference, slurp(base / "j1t3" / rel))
-            << rel << " differs between channel-threads=1 and =3";
         TraceReader reader;
         ASSERT_TRUE(reader.openBuffer(reference)) << reader.error();
         EXPECT_TRUE(reader.attribution());

@@ -157,8 +157,9 @@ TEST(Bitops, TransposeLeavesOtherGroupsAlone)
     LineData original = line;
     transposeGroup(line, 2);
     for (unsigned i = 0; i < lineBytes; ++i) {
-        if (i / 8 != 2)
+        if (i / 8 != 2) {
             EXPECT_EQ(line[i], original[i]) << "byte " << i;
+        }
     }
 }
 

@@ -236,8 +236,9 @@ TEST(QueryCli, DiffJsonKeepsExitContract)
         ASSERT_TRUE(d.isObject());
         if (d.at("flagged").boolean)
             ++flagged;
-        if (d.at("stat").string == "LADDER-Hybrid__astar.ipc")
+        if (d.at("stat").string == "LADDER-Hybrid__astar.ipc") {
             EXPECT_NEAR(d.at("rel_delta").number, -0.1, 1e-9);
+        }
     }
     EXPECT_EQ(flagged, 2);
     // Identical runs in json format exit 0 and report zero flagged.

@@ -111,8 +111,9 @@ TEST(Metrics, SnapshotIsTornFreeUnderConcurrentWrites)
         EXPECT_LE(now, threads * perThread);
         last = now;
         for (const metrics::Sample &s : metrics::snapshot()) {
-            if (s.name == "test.torn")
+            if (s.name == "test.torn") {
                 EXPECT_LE(s.value, threads * perThread);
+            }
         }
     }
     for (auto &w : workers)

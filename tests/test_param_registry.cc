@@ -172,6 +172,13 @@ TEST(ParamRegistry, OutOfRangeIsDiagnosedWithDoc)
               std::string::npos);
     EXPECT_NE(errorOf({"core.rob=4"}).find("out of range"),
               std::string::npos);
+
+    // A size the cache cannot split into whole sets is rejected at
+    // resolve, naming the key, instead of panicking in Cache later.
+    what = errorOf({"cache.l3-bytes=100000"});
+    EXPECT_NE(what.find("cache.l3-bytes=100000"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("cache.l3-ways=16"), std::string::npos) << what;
 }
 
 TEST(ParamRegistry, NonNumericValueIsRejected)
@@ -420,6 +427,16 @@ TEST(ParamRegistry, SystemTemplateReachesEveryCell)
     EXPECT_EQ(sys.controller.writeQueueEntries, 128u);
     EXPECT_EQ(sys.geometry.channels, 4u);
     EXPECT_EQ(sys.crossbar.selectedCells, 16u);
+
+    // cache-scale rounds the scaled L2/L3 down to whole sets, so any
+    // in-range scale builds a System.
+    SystemConfig scaled = makeSystemConfig(
+        SchemeKind::Baseline, "lbm", resolve({"cache-scale=0.01"}).config);
+    EXPECT_EQ(scaled.caches.l3.sizeBytes %
+                  (scaled.caches.l3.ways * lineBytes),
+              0u);
+    System system(scaled);
+    EXPECT_EQ(system.coreCount(), 1u);
 }
 
 TEST(ParamRegistry, CommittedExampleConfigsResolve)
@@ -590,6 +607,20 @@ TEST(ParamRegistry, SweepCellsRejectBadShapes)
                          "{\"epoch-cycles\": [1]}}]}")
                   .find("must be a scalar"),
               std::string::npos);
+    // A cell whose cache ways no longer divide the size fails with
+    // the key named when the cell is built, before any simulation.
+    fs::path ways = tempFile("c10.json",
+                             "{\"cells\": [{\"params\": "
+                             "{\"cache.l3-ways\": 12}}]}");
+    std::string waysArg = "sweep=" + ways.string();
+    ResolvedExperiment r = resolve({waysArg.c_str()});
+    std::string what;
+    try {
+        runOne(SchemeKind::Baseline, "lbm", r.config);
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    EXPECT_NE(what.find("cache.l3-ways=12"), std::string::npos) << what;
 }
 
 TEST(ParamRegistry, SweepCellsPrecedenceAcrossTheFullStack)

@@ -144,8 +144,9 @@ TEST(Trace, DependentLoadsOnlyWhenConfigured)
     for (int i = 0; i < 2000; ++i) {
         TraceRecord rec = b.next();
         dependent += rec.dependent;
-        if (rec.isWrite)
+        if (rec.isWrite) {
             EXPECT_FALSE(rec.dependent);
+        }
     }
     EXPECT_GT(dependent, 400u);
 }
