@@ -126,29 +126,6 @@ BM_LatencySurfaceLookup(benchmark::State &state)
 BENCHMARK(BM_LatencySurfaceLookup);
 
 void
-BM_LatencySurfaceLookupBatch(benchmark::State &state)
-{
-    const TimingModel &model = cachedTimingModel(CrossbarParams{});
-    Rng rng(6);
-    std::vector<SurfaceQuery> queries(256);
-    for (auto &q : queries)
-        q = SurfaceQuery{
-            static_cast<unsigned>(rng.nextBounded(512)),
-            static_cast<unsigned>(rng.nextBounded(512)),
-            static_cast<unsigned>(rng.nextBounded(513))};
-    std::vector<TimingEntry> out(queries.size());
-    for (auto _ : state) {
-        model.ladderSurface->lookupBatch(queries.data(),
-                                         queries.size(), out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(queries.size()));
-}
-BENCHMARK(BM_LatencySurfaceLookupBatch);
-
-void
 BM_PopcountLineScalar(benchmark::State &state)
 {
     Rng rng(1);

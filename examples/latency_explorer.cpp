@@ -7,20 +7,58 @@
  * circuit answer — i.e. how much margin the 8x8x8 bucketing costs.
  *
  *   ./latency_explorer [wl=<0-511>] [bl=<0-511>] [count=<0-512>]
- *                      [granularity=<n>] [sweep=wl|bl|count]
+ *                      [granularity=<1-64>] [sweep=wl|bl|count]
+ *   ./latency_explorer --help-config   (every key with its range)
  */
 
 #include <cstdio>
+#include <iostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "circuit/fastmodel.hh"
-#include "common/config.hh"
+#include "common/param_registry.hh"
 #include "reram/timing_tables.hh"
 
 using namespace ladder;
 
 namespace
 {
+
+/** latency_explorer's key=value options. */
+struct ExplorerOptions
+{
+    unsigned wl = 256;
+    unsigned bl = 256;
+    unsigned count = 128;
+    unsigned granularity = 8;
+    std::string sweep = "count";
+};
+
+#define EXPLORER_FIELD(field) \
+    [](ExplorerOptions &o) -> decltype(o.field) & { return o.field; }
+
+/** Ranges follow the default crossbar the explorer evaluates. */
+ParamRegistry<ExplorerOptions>
+explorerRegistry(const CrossbarParams &params)
+{
+    const auto rows = static_cast<unsigned>(params.rows);
+    const auto cols = static_cast<unsigned>(params.cols);
+    ParamRegistry<ExplorerOptions> reg;
+    reg.addInt<unsigned>("wl", EXPLORER_FIELD(wl),
+                         "Wordline of the single point", 0, rows - 1);
+    reg.addInt<unsigned>("bl", EXPLORER_FIELD(bl),
+                         "Bitline of the single point", 0, cols - 1);
+    reg.addInt<unsigned>("count", EXPLORER_FIELD(count),
+                         "Wordline LRS count of the single point", 0,
+                         cols);
+    reg.addInt<unsigned>("granularity", EXPLORER_FIELD(granularity),
+                         "WL/BL buckets per timing-table axis", 1, 64);
+    reg.addChoice("sweep", EXPLORER_FIELD(sweep), "Axis to sweep",
+                  {"wl", "bl", "count"});
+    return reg;
+}
 
 void
 evaluatePoint(const TimingModel &model, const SneakPathModel &fast,
@@ -45,18 +83,31 @@ evaluatePoint(const TimingModel &model, const SneakPathModel &fast,
 int
 main(int argc, char **argv)
 {
-    Config args;
-    // Strict parse: unknown keys are rejected with a suggestion.
-    args.parseArgs(argc, argv,
-                   {"wl", "bl", "count", "granularity", "sweep"});
-    unsigned wl = static_cast<unsigned>(args.getInt("wl", 256));
-    unsigned bl = static_cast<unsigned>(args.getInt("bl", 256));
-    unsigned count = static_cast<unsigned>(args.getInt("count", 128));
-    unsigned granularity =
-        static_cast<unsigned>(args.getInt("granularity", 8));
-    std::string sweep = args.getString("sweep", "count");
-
     CrossbarParams params;
+    const ParamRegistry<ExplorerOptions> reg = explorerRegistry(params);
+    ExplorerOptions opts;
+    std::vector<std::string> positional;
+    try {
+        positional = reg.applyArgs(opts, argc, argv);
+    } catch (const std::runtime_error &) {
+        return 2; // fatal() has printed the diagnostic
+    }
+    if (positional.size() == 1 && positional[0] == "--help-config") {
+        reg.help(std::cout, ExplorerOptions{});
+        return 0;
+    }
+    if (!positional.empty()) {
+        std::fprintf(stderr,
+                     "usage: latency_explorer [wl=N] [bl=N] [count=N] "
+                     "[granularity=N] [sweep=wl|bl|count]\n");
+        return 2;
+    }
+    const unsigned wl = opts.wl;
+    const unsigned bl = opts.bl;
+    const unsigned count = opts.count;
+    const unsigned granularity = opts.granularity;
+    const std::string &sweep = opts.sweep;
+
     const TimingModel &model = cachedTimingModel(params, granularity);
     SneakPathModel fast(params);
 

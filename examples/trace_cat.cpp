@@ -2,13 +2,14 @@
  * @file
  * Trace inspection CLI over the TraceReader library: dump, filter,
  * summarize, or list the chunk index of any trace the simulator can
- * emit (CSV, v1 packed binary, v2 chunked binary).
+ * emit (CSV or the v2 chunked binary).
  *
  *   ./trace_cat <trace-file> [mode=dump|summary|chunks]
  *               [kind=W|R] [channel=<N>]
  *               [min-tick=<T>] [max-tick=<T>]
  *               [limit=<N>]      (dump: stop after N matching records)
  *               [chunk=<I>]      (v2: start at chunk I via the index)
+ *   ./trace_cat --help-config   (every key with its range)
  *
  * dump     print matching records as CSV rows (with the header)
  * summary  one aggregate block: counts, tick span, latency means/maxes
@@ -20,20 +21,82 @@
  */
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "common/config.hh"
+#include "common/param_registry.hh"
 #include "ctrl/trace_reader.hh"
 
 using namespace ladder;
 
+namespace
+{
+
+/** trace_cat's key=value options; -1 means "not given". */
+struct TraceCatOptions
+{
+    std::string mode = "dump";
+    std::string kind; //!< "" = both kinds
+    std::int64_t channel = -1;
+    std::uint64_t minTick = 0;
+    std::int64_t maxTick = -1;
+    std::int64_t limit = -1;
+    std::int64_t chunk = -1;
+};
+
+#define TRACE_CAT_FIELD(field) \
+    [](TraceCatOptions &o) -> decltype(o.field) & { return o.field; }
+
+ParamRegistry<TraceCatOptions>
+traceCatRegistry()
+{
+    constexpr std::int64_t maxInt =
+        std::numeric_limits<std::int64_t>::max();
+    ParamRegistry<TraceCatOptions> reg;
+    reg.addChoice("mode", TRACE_CAT_FIELD(mode), "Output mode",
+                  {"dump", "summary", "chunks"});
+    reg.addChoice("kind", TRACE_CAT_FIELD(kind),
+                  "dump: only writes (W) or reads (R)", {"W", "R"});
+    reg.addInt<std::int64_t>("channel", TRACE_CAT_FIELD(channel),
+                             "dump: only this channel (-1 = all)", -1,
+                             255);
+    reg.addInt<std::uint64_t>("min-tick", TRACE_CAT_FIELD(minTick),
+                              "dump: first tick of the window");
+    reg.addInt<std::int64_t>(
+        "max-tick", TRACE_CAT_FIELD(maxTick),
+        "dump: last tick of the window (-1 = unbounded)", -1, maxInt);
+    reg.addInt<std::int64_t>(
+        "limit", TRACE_CAT_FIELD(limit),
+        "dump: stop after N matching records (-1 = all)", -1, maxInt);
+    reg.addInt<std::int64_t>(
+        "chunk", TRACE_CAT_FIELD(chunk),
+        "v2: start at chunk I via the index (-1 = first)", -1, maxInt);
+    return reg;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    if (argc < 2 || argv[1][0] == '\0' ||
-        std::strchr(argv[1], '=') != nullptr) {
+    const ParamRegistry<TraceCatOptions> reg = traceCatRegistry();
+    TraceCatOptions opts;
+    std::vector<std::string> positional;
+    try {
+        positional = reg.applyArgs(opts, argc, argv);
+    } catch (const std::runtime_error &) {
+        return 2; // fatal() has printed the diagnostic
+    }
+    if (positional.size() == 1 && positional[0] == "--help-config") {
+        reg.help(std::cout, TraceCatOptions{});
+        return 0;
+    }
+    if (positional.size() != 1) {
         std::fprintf(stderr,
                      "usage: trace_cat <trace-file> "
                      "[mode=dump|summary|chunks] [kind=W|R] "
@@ -41,20 +104,7 @@ main(int argc, char **argv)
                      "[limit=N] [chunk=I]\n");
         return 2;
     }
-    const std::string path = argv[1];
-    Config args;
-    // Strict parse: unknown keys are rejected with a suggestion.
-    args.parseArgs(argc - 1, argv + 1,
-                   {"mode", "kind", "channel", "min-tick", "max-tick",
-                    "limit", "chunk"});
-    const std::string mode = args.getString("mode", "dump");
-    const std::string kind = args.getString("kind", "");
-    const std::int64_t channel = args.getInt("channel", -1);
-    const std::uint64_t minTick =
-        static_cast<std::uint64_t>(args.getInt("min-tick", 0));
-    const std::int64_t maxTickArg = args.getInt("max-tick", -1);
-    const std::int64_t limit = args.getInt("limit", -1);
-    const std::int64_t chunk = args.getInt("chunk", -1);
+    const std::string &path = positional[0];
 
     TraceReader reader;
     if (!reader.open(path)) {
@@ -63,7 +113,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (mode == "chunks") {
+    if (opts.mode == "chunks") {
         if (reader.chunkCount() == 0) {
             std::fprintf(stderr,
                          "trace_cat: %s: no chunk index (only the v2 "
@@ -80,14 +130,14 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (chunk >= 0 &&
-        !reader.seekChunk(static_cast<std::size_t>(chunk))) {
+    if (opts.chunk >= 0 &&
+        !reader.seekChunk(static_cast<std::size_t>(opts.chunk))) {
         std::fprintf(stderr, "trace_cat: %s: %s\n", path.c_str(),
                      reader.error().c_str());
         return 1;
     }
 
-    if (mode == "summary") {
+    if (opts.mode == "summary") {
         TraceSummary s = summarizeTrace(reader);
         if (!reader.ok()) {
             std::fprintf(stderr, "trace_cat: %s: %s\n", path.c_str(),
@@ -124,21 +174,15 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (mode != "dump") {
-        std::fprintf(stderr, "trace_cat: unknown mode '%s'\n",
-                     mode.c_str());
-        return 2;
-    }
-
     // Push the tick window down to the reader: on v2 traces, chunks
     // whose index range falls outside [min-tick, max-tick] are
     // skipped without being CRC-checked or decoded. The per-record
     // filter below still trims the boundary chunks exactly.
-    if (minTick > 0 || maxTickArg >= 0) {
+    if (opts.minTick > 0 || opts.maxTick >= 0) {
         reader.setTickWindow(
-            minTick, maxTickArg >= 0
-                         ? static_cast<std::uint64_t>(maxTickArg)
-                         : ~std::uint64_t{0});
+            opts.minTick, opts.maxTick >= 0
+                              ? static_cast<std::uint64_t>(opts.maxTick)
+                              : ~std::uint64_t{0});
     }
 
     std::printf("type,tick,channel,wordline,bitline,lrs_count,"
@@ -148,14 +192,14 @@ main(int argc, char **argv)
     while (reader.next(rec)) {
         char type =
             rec.kind == CtrlTraceRecord::Kind::Write ? 'W' : 'R';
-        if (!kind.empty() && kind[0] != type)
+        if (!opts.kind.empty() && opts.kind[0] != type)
             continue;
-        if (channel >= 0 && rec.channel != channel)
+        if (opts.channel >= 0 && rec.channel != opts.channel)
             continue;
-        if (rec.tick < minTick)
+        if (rec.tick < opts.minTick)
             continue;
-        if (maxTickArg >= 0 &&
-            rec.tick > static_cast<std::uint64_t>(maxTickArg))
+        if (opts.maxTick >= 0 &&
+            rec.tick > static_cast<std::uint64_t>(opts.maxTick))
             continue;
         std::printf("%c,%" PRIu64 ",%u,%u,%u,%u,%.3f,%" PRIu32 "\n",
                     type, rec.tick,
@@ -165,7 +209,7 @@ main(int argc, char **argv)
                     static_cast<unsigned>(rec.lrsCount),
                     static_cast<double>(rec.latencyNs),
                     rec.queueDepth);
-        if (limit >= 0 && ++printed >= limit)
+        if (opts.limit >= 0 && ++printed >= opts.limit)
             break;
     }
     if (!reader.ok()) {

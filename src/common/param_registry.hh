@@ -413,6 +413,28 @@ class ParamRegistry
     }
 
     /**
+     * Apply every `key=value` argument of argv[1..argc) in order
+     * through set() (source "command line"), and return the other
+     * arguments — positional ones — in order. For tools whose whole
+     * command line is one registry plus positional operands.
+     */
+    std::vector<std::string>
+    applyArgs(Owner &owner, int argc, const char *const *argv) const
+    {
+        std::vector<std::string> positional;
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto eq = arg.find('=');
+            if (eq == std::string::npos || eq == 0)
+                positional.push_back(arg);
+            else
+                set(owner, arg.substr(0, eq), arg.substr(eq + 1),
+                    "command line");
+        }
+        return positional;
+    }
+
+    /**
      * Apply a flat JSON object of key -> scalar assignments (the
      * `config=` file format and the `--dump-config` output). Values
      * may be numbers, strings, or booleans; string values go through

@@ -29,7 +29,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "ctrl/controller.hh"
-#include "trace/trace_file.hh"
+#include "trace/synth.hh"
 
 namespace ladder
 {

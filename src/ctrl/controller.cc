@@ -37,6 +37,9 @@ MemoryController::MemoryController(EventQueue &events,
 {
     ladder_assert(scheme_ != nullptr, "controller needs a scheme");
     ladder_assert(cfg_.subarraysPerBank > 0, "need >= 1 subarray");
+    ladder_assert(timing_.ladderSurface && timing_.blpSurface &&
+                      timing_.locationSurface,
+                  "timing model lacks its latency surfaces");
     // Histogram envelopes: writes span tRCD + the paper's 29-658 ns
     // tWR range; reads add queueing on top of ~32 ns of service, so
     // they get a wider range. Out-of-range samples land in the
@@ -215,27 +218,13 @@ MemoryController::enqueueRead(Addr lineAddr, ReadCallback callback)
     // Forward from a queued or in-flight write to the same block.
     for (const auto &entry : writeQueue_) {
         if (entry.addr == phys && !entry.isMetadataWrite) {
-            LineData data = entry.data;
-            Tick when = events_.now() + tCl_;
-            Tick enq = events_.now();
-            events_.schedule(when, [this, callback, data, when, enq]() {
-                readLatencyNs.sample(ticksToNs(when - enq));
-                readLatencyHistNs.sample(ticksToNs(when - enq));
-                callback(data, when);
-            });
+            forwardRead(entry.data, std::move(callback));
             return;
         }
     }
     auto inflight = inFlightWrites_.find(phys);
     if (inflight != inFlightWrites_.end()) {
-        LineData data = inflight->second;
-        Tick when = events_.now() + tCl_;
-        Tick enq = events_.now();
-        events_.schedule(when, [this, callback, data, when, enq]() {
-            readLatencyNs.sample(ticksToNs(when - enq));
-            readLatencyHistNs.sample(ticksToNs(when - enq));
-            callback(data, when);
-        });
+        forwardRead(inflight->second, std::move(callback));
         return;
     }
 
@@ -261,6 +250,20 @@ MemoryController::enqueueRead(Addr lineAddr, ReadCallback callback)
 }
 
 void
+MemoryController::forwardRead(const LineData &data,
+                              ReadCallback callback)
+{
+    const Tick enq = events_.now();
+    const Tick when = enq + tCl_;
+    events_.schedule(when, [this, callback = std::move(callback), data,
+                            when, enq]() {
+        readLatencyNs.sample(ticksToNs(when - enq));
+        readLatencyHistNs.sample(ticksToNs(when - enq));
+        callback(data, when);
+    });
+}
+
+void
 MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
 {
     ladder_assert(canAcceptWrite(), "write queue overflow");
@@ -279,6 +282,26 @@ MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
         }
     }
 
+    admitWrite(phys, loc, data, /*remapCopy=*/false);
+}
+
+void
+MemoryController::injectWrite(Addr lineAddr, const LineData &data)
+{
+    Addr phys = physAddr(lineAddr);
+    admitWrite(phys, map_.decode(phys), data, /*remapCopy=*/false);
+}
+
+void
+MemoryController::injectPhysicalWrite(Addr physTo, const LineData &data)
+{
+    admitWrite(physTo, map_.decode(physTo), data, /*remapCopy=*/true);
+}
+
+void
+MemoryController::admitWrite(Addr phys, const BlockLocation &loc,
+                             const LineData &data, bool remapCopy)
+{
     WriteEntry entry;
     entry.id = nextId_++;
     entry.addr = phys;
@@ -286,6 +309,7 @@ MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
     entry.loc = loc;
     entry.enqueueTick = events_.now();
     entry.readyTick = entry.enqueueTick;
+    entry.isRemapCopy = remapCopy;
     // Hook first: wear-leveling decorators may advance per-line state
     // that the encoding depends on.
     scheme_->onWriteEnqueued(*this, entry);
@@ -307,39 +331,6 @@ MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
     writeQueue_.push_back(std::move(entry));
     if (metrics::enabled())
         metrics::set(mWqDepth_, writeQueue_.size());
-    requestSchedule();
-}
-
-void
-MemoryController::injectWrite(Addr lineAddr, const LineData &data)
-{
-    Addr phys = physAddr(lineAddr);
-    BlockLocation loc = map_.decode(phys);
-    WriteEntry entry;
-    entry.id = nextId_++;
-    entry.addr = phys;
-    entry.data = data;
-    entry.loc = loc;
-    entry.enqueueTick = events_.now();
-    entry.readyTick = entry.enqueueTick;
-    // Hook first: wear-leveling decorators may advance per-line state
-    // that the encoding depends on.
-    scheme_->onWriteEnqueued(*this, entry);
-    entry.physData = scheme_->encodeData(phys, data);
-    if (entry.needsSmb) {
-        entry.smbReady = false;
-        ReadEntry smb;
-        smb.id = nextId_++;
-        smb.addr = phys;
-        smb.kind = ReadKind::StaleBlock;
-        smb.enqueueTick = events_.now();
-        smb.loc = loc;
-        smb.writeId = entry.id;
-        internalReads_.push_back(std::move(smb));
-        ++smbReads;
-    }
-    handleMetadataNeeds(entry);
-    writeQueue_.push_back(std::move(entry));
     requestSchedule();
 }
 
@@ -604,7 +595,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
                 ladder_assert(w->metaPending > 0,
                               "metadata fill underflow");
                 --w->metaPending;
-                if (cfg_.attribution && w->ready())
+                if (w->ready())
                     w->readyTick = events_.now();
             }
         }
@@ -615,7 +606,7 @@ MemoryController::completeRead(ReadEntry entry, Tick when)
         if (WriteEntry *w = findWrite(entry.writeId)) {
             w->smbData = store_.read(entry.addr);
             w->smbReady = true;
-            if (cfg_.attribution && w->ready())
+            if (w->ready())
                 w->readyTick = events_.now();
         }
         break;
@@ -628,34 +619,24 @@ const TimingEntry &
 MemoryController::ladderTiming(unsigned wordline, unsigned bitline,
                                unsigned lrsCount) const
 {
-    if (cfg_.latencySurface && timing_.ladderSurface) {
-        PROF_COUNTER("surface_lookups", 1.0);
-        return timing_.ladderSurface->lookup(wordline, bitline,
-                                             lrsCount);
-    }
-    return timing_.ladder.lookup(wordline, bitline, lrsCount);
+    PROF_COUNTER("surface_lookups", 1.0);
+    return timing_.ladderSurface->lookup(wordline, bitline, lrsCount);
 }
 
 const TimingEntry &
 MemoryController::blpTiming(unsigned wordline, unsigned bitline,
                             unsigned lrsCount) const
 {
-    if (cfg_.latencySurface && timing_.blpSurface) {
-        PROF_COUNTER("surface_lookups", 1.0);
-        return timing_.blpSurface->lookup(wordline, bitline, lrsCount);
-    }
-    return timing_.blp.lookup(wordline, bitline, lrsCount);
+    PROF_COUNTER("surface_lookups", 1.0);
+    return timing_.blpSurface->lookup(wordline, bitline, lrsCount);
 }
 
 const TimingEntry &
 MemoryController::locationTiming(unsigned wordline,
                                  unsigned bitline) const
 {
-    if (cfg_.latencySurface && timing_.locationSurface) {
-        PROF_COUNTER("surface_lookups", 1.0);
-        return timing_.locationSurface->lookup(wordline, bitline, 0);
-    }
-    return timing_.location.lookup(wordline, bitline, 0);
+    PROF_COUNTER("surface_lookups", 1.0);
+    return timing_.locationSurface->lookup(wordline, bitline, 0);
 }
 
 double
@@ -917,37 +898,6 @@ MemoryController::completeWrite(WriteEntry entry, double latencyNs,
             }
         }
     }
-    requestSchedule();
-}
-
-void
-MemoryController::injectPhysicalWrite(Addr physTo, const LineData &data)
-{
-    BlockLocation loc = map_.decode(physTo);
-    WriteEntry entry;
-    entry.id = nextId_++;
-    entry.addr = physTo;
-    entry.data = data;
-    entry.loc = loc;
-    entry.enqueueTick = events_.now();
-    entry.readyTick = entry.enqueueTick;
-    entry.isRemapCopy = true;
-    scheme_->onWriteEnqueued(*this, entry);
-    entry.physData = scheme_->encodeData(physTo, data);
-    if (entry.needsSmb) {
-        entry.smbReady = false;
-        ReadEntry smb;
-        smb.id = nextId_++;
-        smb.addr = physTo;
-        smb.kind = ReadKind::StaleBlock;
-        smb.enqueueTick = events_.now();
-        smb.loc = loc;
-        smb.writeId = entry.id;
-        internalReads_.push_back(std::move(smb));
-        ++smbReads;
-    }
-    handleMetadataNeeds(entry);
-    writeQueue_.push_back(std::move(entry));
     requestSchedule();
 }
 

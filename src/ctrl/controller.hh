@@ -81,14 +81,6 @@ struct ControllerConfig
     double readEnergyPj = 250.0;   //!< per demand/metadata/SMB read
     double transitionEnergyPj = 1.0; //!< per cell switched
     /**
-     * Resolve per-write timings through the dense precomputed latency
-     * surfaces (O(1): two index loads + one entry load) instead of the
-     * bucketed table lookups. Bit-identical results either way — the
-     * surfaces are dense copies of the tables — so this is purely a
-     * host-performance switch (`latency.surface=` in experiments).
-     */
-    bool latencySurface = true;
-    /**
      * Per-write causal latency attribution: decompose every data
      * write's end-to-end latency into blame components (dependency /
      * queue / bank / tRCD / base / location / content / scheme) that
@@ -153,15 +145,10 @@ class MemoryController
     BackingStore &store() { return store_; }
     const TimingModel &timing() const { return timing_; }
 
-    /** Whether timing lookups resolve through the dense surfaces. */
-    bool surfaceEnabled() const { return cfg_.latencySurface; }
-
     /**
      * Timing lookups for schemes: the ⟨WL, BL, LRS⟩ -> entry
-     * resolution, through the dense surface when enabled and the
-     * bucketed table otherwise (identical results by construction).
-     * Schemes should call these instead of touching timing().ladder
-     * and friends so every dispatch honours the surface switch.
+     * resolution through the timing model's dense latency surfaces
+     * (bit-identical to the bucketed tables they are built from).
      */
     const TimingEntry &ladderTiming(unsigned wordline,
                                     unsigned bitline,
@@ -326,6 +313,16 @@ class MemoryController
     WriteAttribution attributeDispatch(const WriteEntry &entry,
                                        const WriteDecision &decision,
                                        Tick prevBankBusy);
+    /**
+     * Queue one data write: entry init, the scheme's enqueue hook and
+     * encoding, the SMB read and metadata fills it needs, then push
+     * and schedule. Shared by every write source (demand, injected,
+     * wear-leveling copy).
+     */
+    void admitWrite(Addr phys, const BlockLocation &loc,
+                    const LineData &data, bool remapCopy);
+    /** Answer a demand read from a queued or in-flight write. */
+    void forwardRead(const LineData &data, ReadCallback callback);
     void handleMetadataNeeds(WriteEntry &entry);
     void issueMetaFill(PendingMetaFill &fill);
     void retrySpills();

@@ -37,9 +37,9 @@ struct WriteEntry
     /**
      * Tick at which the last scheme-imposed dependency (metadata
      * fill, SMB read, spill retry) resolved; equals enqueueTick for
-     * writes that were dispatchable immediately. Maintained only when
-     * latency attribution is enabled — the blame decomposition's
-     * "retry/spill stall" component is readyTick - enqueueTick.
+     * writes that were dispatchable immediately. The blame
+     * decomposition's "retry/spill stall" component is
+     * readyTick - enqueueTick.
      */
     Tick readyTick = 0;
     bool isMetadataWrite = false;

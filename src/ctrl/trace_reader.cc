@@ -163,11 +163,6 @@ TraceReader::parseHeader()
         if (!readExact(rest, sizeof(rest), "file header"))
             return false;
         version_ = readU32(rest);
-        if (version_ == 1) {
-            format_ = TraceFormat::BinaryV1;
-            totalRecords_ = readU32(rest + 4);
-            return parseV1();
-        }
         if (version_ == traceBaseVersion ||
             version_ == traceAttrVersion) {
             format_ = TraceFormat::BinaryV2;
@@ -197,25 +192,6 @@ TraceReader::parseHeader()
         return fail("unrecognized trace: neither binary magic nor "
                     "the CSV header row");
     format_ = TraceFormat::Csv;
-    return true;
-}
-
-bool
-TraceReader::parseV1()
-{
-    std::uint64_t expected =
-        traceFileHeaderBytes + totalRecords_ * traceRecordBytes;
-    if (fileSize_ < expected)
-        return fail(strPrintf(
-            "truncated v1 trace: %llu bytes for %llu records "
-            "(need %llu)",
-            static_cast<unsigned long long>(fileSize_),
-            static_cast<unsigned long long>(totalRecords_),
-            static_cast<unsigned long long>(expected)));
-    if (fileSize_ > expected)
-        return fail(strPrintf(
-            "v1 trace has %llu trailing bytes after the last record",
-            static_cast<unsigned long long>(fileSize_ - expected)));
     return true;
 }
 
@@ -405,20 +381,6 @@ TraceReader::next(CtrlTraceRecord &out)
     switch (format_) {
     case TraceFormat::Csv:
         return nextCsv(out);
-    case TraceFormat::BinaryV1: {
-        if (recordsRead_ == totalRecords_)
-            return false;
-        char buf[traceRecordBytes];
-        if (!readExact(buf, sizeof(buf), "v1 record"))
-            return false;
-        if (!decodeRecord(buf, out, /*attribution=*/false))
-            return fail(strPrintf(
-                "corrupt v1 trace: invalid record kind at record "
-                "%llu",
-                static_cast<unsigned long long>(recordsRead_)));
-        ++recordsRead_;
-        return true;
-    }
     case TraceFormat::BinaryV2:
         while (chunkPos_ >= chunkBuf_.size()) {
             if (chunkIndex_ >= chunks_.size())

@@ -1,8 +1,7 @@
 /**
  * @file
- * Robust reader for every trace encoding the sink can emit: CSV, the
- * legacy v1 packed binary, and the v2 chunked binary (see
- * trace_sink.hh for the wire formats). Designed for consumption by
+ * Robust reader for every trace encoding the sink can emit: CSV and
+ * the v2 chunked binary (see trace_sink.hh for the wire formats). Designed for consumption by
  * external tools (trace_cat, analysis scripts, tests), so malformed
  * input is *never* undefined behaviour or a crash: every validation
  * failure — bad magic, unsupported version, truncated header,
@@ -12,7 +11,7 @@
  *
  * Sequential iteration works on all formats; the v2 chunk index
  * additionally supports O(1) seeking to any chunk. Memory use is
- * bounded by one chunk (v2) or one record (v1/CSV), so arbitrarily
+ * bounded by one chunk (v2) or one record (CSV), so arbitrarily
  * long traces can be scanned.
  */
 
@@ -38,8 +37,8 @@ class TraceReader
 
     /**
      * Open a trace file, auto-detecting the encoding, and validate
-     * its framing (v1: size check; v2: trailer, footer CRC, chunk
-     * index consistency). Returns false with error() set on any
+     * its framing (v2: trailer, footer CRC, chunk index
+     * consistency). Returns false with error() set on any
      * problem.
      */
     bool open(const std::string &path);
@@ -55,7 +54,7 @@ class TraceReader
 
     TraceFormat format() const { return format_; }
 
-    /** Binary container version (1, 2, or 3; 0 for CSV). */
+    /** Binary container version (2 or 3; 0 for CSV). */
     std::uint32_t version() const { return version_; }
 
     /**
@@ -65,8 +64,8 @@ class TraceReader
     bool attribution() const { return attribution_; }
 
     /**
-     * Total record count when the container declares it (v1 header,
-     * v2 footer); false for CSV, where the count is only known once
+     * Total record count when the container declares it (the v2
+     * footer); false for CSV, where the count is only known once
      * iteration completes.
      */
     bool knownTotal() const { return format_ != TraceFormat::Csv; }
@@ -81,7 +80,7 @@ class TraceReader
      * window are skipped whole, never CRC-checked or decoded (see
      * chunksDecoded()). Boundary chunks can still deliver records
      * just outside the window, so callers wanting an exact cut must
-     * keep their per-record filter; v1/CSV have no index and are
+     * keep their per-record filter; CSV has no index and is
      * filtered by the caller alone. Call before iterating.
      */
     void setTickWindow(std::uint64_t minTick, std::uint64_t maxTick);
@@ -98,7 +97,7 @@ class TraceReader
     /** Records delivered by next() so far. */
     std::uint64_t recordsRead() const { return recordsRead_; }
 
-    // --- v2 chunk index access (chunkCount() == 0 for v1/CSV) ---
+    // --- v2 chunk index access (chunkCount() == 0 for CSV) ---
 
     std::size_t chunkCount() const { return chunks_.size(); }
 
@@ -133,7 +132,6 @@ class TraceReader
     bool fail(const std::string &msg);
     bool readExact(char *buf, std::size_t len, const char *what);
     bool parseHeader();
-    bool parseV1();
     bool parseV2();
     bool loadChunk(std::size_t index);
     bool nextCsv(CtrlTraceRecord &out);

@@ -178,11 +178,9 @@ traceFormatFromName(const std::string &name)
 {
     if (name == "csv")
         return TraceFormat::Csv;
-    if (name == "bin")
-        return TraceFormat::BinaryV1;
     if (name == "bin2")
         return TraceFormat::BinaryV2;
-    fatal("trace-format must be 'csv', 'bin', or 'bin2', got '%s'",
+    fatal("trace-format must be 'csv' or 'bin2', got '%s'",
           name.c_str());
 }
 
@@ -225,9 +223,6 @@ WriteTraceSink::WriteTraceSink(const std::string &path,
     : path_(path), format_(format), options_(options),
       attribution_(attribution)
 {
-    ladder_assert(format_ != TraceFormat::BinaryV1,
-                  "streaming trace requires 'csv' or 'bin2' (the v1 "
-                  "header carries the record count up front)");
     ladder_assert(options_.chunkRecords > 0,
                   "streaming trace: zero chunk size");
     ladder_assert(options_.maxQueuedChunks > 0,
@@ -429,22 +424,6 @@ WriteTraceSink::writeCsv(std::ostream &os) const
         appendCsvRow(row, r, attribution_);
         os.write(row.data(), static_cast<std::streamsize>(row.size()));
     }
-}
-
-void
-WriteTraceSink::writeBinary(std::ostream &os) const
-{
-    ladder_assert(!stream_, "writeBinary() is buffered-mode only");
-    ladder_assert(!attribution_,
-                  "the v1 binary has no attribution block; use csv "
-                  "or bin2 with trace.attribution");
-    PROF_SCOPE("trace_flush");
-    std::string out(traceFileMagic, sizeof(traceFileMagic));
-    appendU32(out, 1);
-    appendU32(out, static_cast<std::uint32_t>(records_.size()));
-    for (const CtrlTraceRecord &r : records_)
-        appendRecord(out, r, /*attribution=*/false);
-    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 void

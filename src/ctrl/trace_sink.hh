@@ -6,8 +6,7 @@
  *
  *  - Buffered (default): records accumulate in memory and are
  *    serialized once at the end of a run — CSV (self-describing,
- *    plottable), the legacy v1 packed binary, or the v2 chunked
- *    binary.
+ *    plottable) or the v2 chunked binary.
  *  - Streaming: constructed with an output path, the sink appends
  *    records into fixed-size chunks that are handed to a background
  *    writer thread over a bounded queue with backpressure, so peak
@@ -84,7 +83,7 @@ struct CtrlTraceRecord
     WriteAttribution attr{};     //!< serialized in v3 / attr CSV only
 };
 
-/** Serialized size of one record in v1/v2 binary traces. */
+/** Serialized size of one record in v2 binary traces. */
 inline constexpr std::size_t traceRecordBytes = 24;
 
 /**
@@ -94,8 +93,8 @@ inline constexpr std::size_t traceRecordBytes = 24;
  */
 inline constexpr std::size_t traceAttrRecordBytes = 56;
 
-/** On-disk trace encodings ("csv", "bin", "bin2" on command lines). */
-enum class TraceFormat { Csv, BinaryV1, BinaryV2 };
+/** On-disk trace encodings ("csv", "bin2" on command lines). */
+enum class TraceFormat { Csv, BinaryV2 };
 
 /** Parse a trace-format= value; fatal() on an unknown name. */
 TraceFormat traceFormatFromName(const std::string &name);
@@ -126,9 +125,7 @@ class WriteTraceSink
     /**
      * Streaming mode: open @p path (truncating) and flush chunks of
      * records to it from a background writer thread as the run
-     * progresses. @p format must be Csv or BinaryV2 — the v1 binary
-     * header carries the total record count up front and cannot be
-     * streamed. Call finish() (or let the destructor) to flush the
+     * progresses. Call finish() (or let the destructor) to flush the
      * final partial chunk and the v2 footer.
      */
     WriteTraceSink(const std::string &path, TraceFormat format,
@@ -192,13 +189,6 @@ class WriteTraceSink
 
     /** Write `type,tick,channel,wordline,bitline,...` CSV rows. */
     void writeCsv(std::ostream &os) const;
-
-    /**
-     * Write the legacy packed v1 binary: a 16-byte header
-     * ("LADDRTRC", u32 version=1, u32 record count) followed by the
-     * records in the fixed little-endian layout.
-     */
-    void writeBinary(std::ostream &os) const;
 
     /**
      * Write the v2 chunked binary with @p chunkRecords records per

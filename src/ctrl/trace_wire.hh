@@ -47,7 +47,7 @@ inline constexpr std::uint32_t traceBaseVersion = 2;
  */
 inline constexpr std::uint32_t traceAttrVersion = 3;
 
-/** v1/v2 file header size: magic + u32 version + u32 count/capacity. */
+/** v2 file header size: magic + u32 version + u32 chunk capacity. */
 inline constexpr std::size_t traceFileHeaderBytes = 16;
 
 /** v2 chunk header: magic + u32 record count + u32 payload CRC. */

@@ -75,26 +75,6 @@ LatencySurface::fromTable(const WriteTimingTable &table)
     return s;
 }
 
-void
-LatencySurface::lookupBatch(const SurfaceQuery *queries,
-                            std::size_t count, TimingEntry *out) const
-{
-    ladder_assert(!entries_.empty(), "lookup on empty latency surface");
-    for (std::size_t i = 0; i < count; ++i) {
-        const SurfaceQuery &q = queries[i];
-        out[i] = lookup(q.wordline, q.bitline, q.lrsCount);
-    }
-}
-
-std::vector<TimingEntry>
-LatencySurface::lookupBatch(const std::vector<SurfaceQuery> &queries)
-    const
-{
-    std::vector<TimingEntry> out(queries.size());
-    lookupBatch(queries.data(), queries.size(), out.data());
-    return out;
-}
-
 SurfaceCheckResult
 LatencySurface::verifyAgainst(const WriteTimingTable &table) const
 {

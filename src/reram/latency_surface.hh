@@ -12,11 +12,11 @@
  * every dense cell is a copy of the table entry the bucket formulas
  * would select, so swapping table lookups for surface lookups cannot
  * change a single simulated latency. `verifyAgainst` re-derives every
- * index map and cell from the table at runtime (the `latency.surface-
- * check=` init gate), and `checkSurfaceError` re-evaluates the circuit
- * at every bucket corner to bound the surface against a reference
- * evaluator (e.g. full MNA) with an explicit relative error budget —
- * the contract test_latency_surface enforces.
+ * index map and cell from the table, and `checkSurfaceError`
+ * re-evaluates the circuit at every bucket corner to bound the surface
+ * against a reference evaluator (e.g. full MNA) with an explicit
+ * relative error budget — the contract test_timing_tables and
+ * test_latency_surface enforce.
  */
 
 #ifndef LADDER_RERAM_LATENCY_SURFACE_HH
@@ -31,7 +31,7 @@
 namespace ladder
 {
 
-/** One batched surface lookup request. */
+/** One ⟨wordline, bitline, LRS count⟩ surface lookup request. */
 struct SurfaceQuery
 {
     unsigned wordline = 0;
@@ -90,20 +90,6 @@ class LatencySurface
             lrsCount < contentDense_ ? lrsCount : contentDense_ - 1;
         return entries_[region * contentDense_ + c];
     }
-
-    /**
-     * Resolve @p count queries into @p out (caller-sized). The loop
-     * body is branch-light so the compiler can keep several entry
-     * loads in flight; the controller uses this to drain decision
-     * batches and the micro benches to measure steady-state lookup
-     * cost.
-     */
-    void lookupBatch(const SurfaceQuery *queries, std::size_t count,
-                     TimingEntry *out) const;
-
-    /** Convenience vector form of lookupBatch. */
-    std::vector<TimingEntry>
-    lookupBatch(const std::vector<SurfaceQuery> &queries) const;
 
     /**
      * Exact integrity check: re-derive every index map entry and every

@@ -54,6 +54,7 @@ WriteDecision
 SplitResetScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
                               const LineData &finalData)
 {
+    (void)ctrl;
     (void)finalData;
     // Compression is decided on the logical data the processor sent.
     bool compressible = fpcCompressible(entry.data);
@@ -62,14 +63,8 @@ SplitResetScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     else
         ++incompressibleWrites;
 
-    // The half-RESET model carries its own dense surface; honour the
-    // controller's surface switch so differential runs stay exact.
-    const TimingEntry &phase =
-        ctrl.surfaceEnabled() && halfModel_.locationSurface
-            ? halfModel_.locationSurface->lookup(
-                  entry.loc.wordline, entry.loc.worstBitline(), 0)
-            : halfModel_.location.lookup(
-                  entry.loc.wordline, entry.loc.worstBitline(), 0);
+    const TimingEntry &phase = halfModel_.locationSurface->lookup(
+        entry.loc.wordline, entry.loc.worstBitline(), 0);
     unsigned phases = compressible ? 1 : 2;
     // Each half-RESET phase drives half the selected cells.
     return {phase.latencyNs * phases, phase.powerMw, 0.6};
@@ -80,15 +75,12 @@ SplitResetScheme::attributeWrite(const MemoryController &ctrl,
                                  const WriteEntry &entry,
                                  const WriteDecision &decision) const
 {
+    (void)ctrl;
     // Re-derive the single-phase latency exactly as decideWrite did;
     // the remainder of the decided latency (the second phase, when
     // the line is incompressible) is scheme overhead.
-    const TimingEntry &phase =
-        ctrl.surfaceEnabled() && halfModel_.locationSurface
-            ? halfModel_.locationSurface->lookup(
-                  entry.loc.wordline, entry.loc.worstBitline(), 0)
-            : halfModel_.location.lookup(
-                  entry.loc.wordline, entry.loc.worstBitline(), 0);
+    const TimingEntry &phase = halfModel_.locationSurface->lookup(
+        entry.loc.wordline, entry.loc.worstBitline(), 0);
     double singlePhaseNs =
         phase.latencyNs < decision.latencyNs ? phase.latencyNs
                                              : decision.latencyNs;

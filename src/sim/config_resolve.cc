@@ -170,16 +170,15 @@ registerExperimentParams(Registry &reg)
                   "('' = off)")
         .inManifest = false;
     reg.addChoice("trace-format", LADDER_FIELD(traceFormat),
-                  "Trace encoding", {"csv", "bin", "bin2"});
+                  "Trace encoding", {"csv", "bin2"});
     reg.addBool("trace-stream", LADDER_FIELD(traceStream),
                 "Stream traces to disk during the run in bounded "
-                "memory (csv/bin2 only)");
+                "memory");
     reg.addBool("trace.attribution",
                 LADDER_FIELD(system.controller.attribution),
                 "Per-write causal blame decomposition: v3 trace "
                 "records, blame stats/histograms, and live blame-rate "
-                "counters (csv/bin2 traces only; off = byte-identical "
-                "legacy outputs)")
+                "counters (off = byte-identical legacy outputs)")
         .inManifest = false;
     reg.addInt<std::uint64_t>(
         "trace-chunk", LADDER_FIELD(traceChunkRecords),
@@ -238,29 +237,6 @@ registerExperimentParams(Registry &reg)
     reg.addBool("scheme.shifting", LADDER_FIELD(schemeOptions.shifting),
                 "LADDER-Est: shift estimated counters toward the "
                 "observed write content");
-
-    // ---------------------------------------------------------------
-    // Latency-surface hot path (host-performance switches; all
-    // manifest-excluded: results are bit-identical either way, so
-    // resolved-config manifests and goldens must not change)
-    // ---------------------------------------------------------------
-    reg.addBool("latency.surface",
-                LADDER_FIELD(system.controller.latencySurface),
-                "Resolve per-write timings through the dense "
-                "precomputed latency surfaces (O(1) lookups; "
-                "bit-identical to the bucketed tables)")
-        .inManifest = false;
-    reg.addBool("latency.surface-check",
-                LADDER_FIELD(system.latencySurfaceCheck),
-                "Verify every surface cell against its table and the "
-                "circuit model at init; fatal on violation")
-        .inManifest = false;
-    reg.addDouble("latency.error-budget",
-                  LADDER_FIELD(system.latencyErrorBudget),
-                  "Relative latency error the surface check tolerates "
-                  "against the circuit model",
-                  0.0, 1.0)
-        .inManifest = false;
 
     // ---------------------------------------------------------------
     // Memory geometry (SystemConfig template)

@@ -99,9 +99,6 @@ makeTraceSink(SchemeKind scheme, const std::string &workload,
     if (config.traceOutDir.empty())
         return nullptr;
     const bool attribution = config.system.controller.attribution;
-    if (attribution && config.traceFormat == "bin")
-        fatal("trace.attribution=1 requires trace-format csv or bin2 "
-              "(the v1 binary has no attribution block)");
     if (!config.traceStream) {
         auto sink = std::make_unique<WriteTraceSink>();
         sink->setAttribution(attribution);

@@ -92,15 +92,13 @@ struct ExperimentConfig
      * trace to `<traceOutDir>/<scheme>__<workload>/trace.<ext>`.
      */
     std::string traceOutDir;
-    std::string traceFormat = "csv"; //!< "csv", "bin" (v1), "bin2"
+    std::string traceFormat = "csv"; //!< "csv" or "bin2"
     /**
      * Stream each run's trace to disk *while it executes* through a
      * bounded queue and a background writer thread, instead of
      * buffering every record until the end: peak trace memory becomes
      * O(traceChunkRecords) regardless of run length, and the emitted
-     * bytes are identical to the buffered serialization. Requires
-     * traceFormat "csv" or "bin2" (the v1 header needs the total
-     * record count up front).
+     * bytes are identical to the buffered serialization.
      */
     bool traceStream = false;
     /** Records per chunk for streaming and the "bin2" format. */

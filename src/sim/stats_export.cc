@@ -307,9 +307,6 @@ exportRun(const ExperimentConfig &config, SchemeKind scheme,
             case TraceFormat::Csv:
                 trace->writeCsv(os);
                 break;
-            case TraceFormat::BinaryV1:
-                trace->writeBinary(os);
-                break;
             case TraceFormat::BinaryV2:
                 trace->writeBinaryV2(
                     os, static_cast<std::size_t>(

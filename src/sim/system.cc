@@ -1,78 +1,13 @@
 #include "system.hh"
 
-#include <mutex>
 #include <ostream>
-#include <set>
 
-#include "circuit/fastmodel.hh"
 #include "common/log.hh"
-#include "common/profiler.hh"
-#include "reram/latency_surface.hh"
 #include "schemes/ladder_schemes.hh"
 #include "trace/data_patterns.hh"
-#include "trace/trace_file.hh"
 
 namespace ladder
 {
-
-namespace
-{
-
-/**
- * Init-time surface verification (SystemConfig::latencySurfaceCheck):
- * exact surface-vs-table identity plus a corner re-evaluation against
- * the generating fast model under the error budget. Memoized on the
- * shared (cached) model's identity, so a sweep building hundreds of
- * Systems checks each distinct model once.
- */
-void
-verifyLatencySurfaces(const TimingModel &model,
-                      const CrossbarParams &params, double budget)
-{
-    static std::mutex mutex;
-    static std::set<const TimingModel *> checked;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!checked.insert(&model).second)
-            return;
-    }
-    PROF_SCOPE("latency_surface_check");
-    struct Item
-    {
-        const std::shared_ptr<const LatencySurface> &surface;
-        const WriteTimingTable &table;
-        const char *what;
-    };
-    const Item items[] = {
-        {model.ladderSurface, model.ladder, "ladder"},
-        {model.blpSurface, model.blp, "blp"},
-        {model.locationSurface, model.location, "location"},
-    };
-    SneakPathModel fast(params);
-    ResetEvaluator eval = [&fast](const ResetCondition &c) {
-        return fast.evaluate(c);
-    };
-    for (const Item &item : items) {
-        ladder_assert(item.surface != nullptr,
-                      "timing model lacks a %s surface", item.what);
-        SurfaceCheckResult check =
-            item.surface->verifyAgainst(item.table);
-        ladder_assert(check.ok(),
-                      "%s latency surface diverges from its table "
-                      "(%zu of %zu cells, max %.3g ns)",
-                      item.what, check.mismatches, check.cellsChecked,
-                      check.maxAbsErrorNs);
-        SurfaceErrorReport err = checkSurfaceError(
-            params, item.table, model.law, eval, budget);
-        ladder_assert(err.ok(),
-                      "%s timing table violates the %.3g error "
-                      "budget (%zu of %zu corners, max rel %.3g)",
-                      item.what, budget, err.violations,
-                      err.cellsChecked, err.maxRelError);
-    }
-}
-
-} // namespace
 
 void
 applyPaperScale(SystemConfig &config)
@@ -92,9 +27,6 @@ System::System(const SystemConfig &config) : config_(config)
     timing_ = &cachedTimingModel(config_.crossbar,
                                  config_.tableGranularity,
                                  config_.rangeShrink);
-    if (config_.latencySurfaceCheck)
-        verifyLatencySurfaces(*timing_, config_.crossbar,
-                              config_.latencyErrorBudget);
 
     store_ = std::make_unique<BackingStore>(
         config_.geometry, /*trackBitlines=*/true,
@@ -143,17 +75,11 @@ System::System(const SystemConfig &config) : config_(config)
         return *controllers_[loc.channel];
     };
 
-    ladder_assert(config_.traceFiles.empty() ||
-                      config_.traceFiles.size() ==
-                          config_.workloads.size(),
-                  "traceFiles must match the workload count");
     Addr nextBase = 0;
     for (unsigned c = 0; c < config_.workloads.size(); ++c) {
         WorkloadInstance inst = makeWorkloadInstance(
             config_.workloads[c], config_.seed * 16 + c,
-            config_.workingSetScale, config_.frontend,
-            config_.traceFiles.empty() ? std::string{}
-                                       : config_.traceFiles[c]);
+            config_.workingSetScale, config_.frontend);
         Addr footprint = inst.source->footprintBytes();
         ladder_assert(nextBase + footprint <=
                           dataPages * MemoryGeometry::pageBytes,

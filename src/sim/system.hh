@@ -52,29 +52,11 @@ struct SystemConfig
     std::vector<std::string> workloads{"lbm"};
     /** External-replay knobs (registry group extern.*). */
     WorkloadFrontendOptions frontend{};
-    /**
-     * Optional recorded trace files, one per core; when set (same
-     * count as workloads) each core replays its file instead of
-     * synthesizing traffic. First-touch page content defaults to
-     * zeros for replayed traces.
-     */
-    std::vector<std::string> traceFiles;
     double workingSetScale = 1.0;
     double dataPageFraction = 0.75;
     double backgroundDensity = 0.4;  //!< LRS fraction of other rows
     std::uint64_t seed = 1;
     bool paperScale = false;
-    /**
-     * Verify the precomputed latency surfaces at init: exact
-     * bit-identity of every surface cell and index map against the
-     * bucketed tables, plus a circuit re-evaluation of every table
-     * corner against the generating fast model under
-     * latencyErrorBudget. Fatal on any violation; memoized per shared
-     * timing model so sweeps pay the cost once.
-     */
-    bool latencySurfaceCheck = false;
-    /** Relative latency error tolerated by the surface check. */
-    double latencyErrorBudget = 0.05;
     /**
      * Core-clock cycles between periodic stat snapshots during the
      * measured window (0 = no epoch time series). Each snapshot

@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/trace_file.hh"
+#include "trace/synth.hh"
 
 namespace ladder
 {

@@ -83,6 +83,37 @@ class SyntheticTrace
     Addr pickAddress(bool &dependent, bool &isWrite);
 };
 
+/** Anything that produces TraceRecords. */
+class TraceSource
+{
+  public:
+    virtual ~TraceSource() = default;
+    /** Next record; traces never end (replay loops if finite). */
+    virtual TraceRecord next() = 0;
+    /** Region footprint in bytes. */
+    virtual std::uint64_t footprintBytes() const = 0;
+};
+
+/** Adapter: SyntheticTrace behind the TraceSource interface. */
+class SyntheticSource : public TraceSource
+{
+  public:
+    explicit SyntheticSource(const WorkloadParams &params)
+        : trace_(params)
+    {
+    }
+
+    TraceRecord next() override { return trace_.next(); }
+    std::uint64_t
+    footprintBytes() const override
+    {
+        return trace_.footprintBytes();
+    }
+
+  private:
+    SyntheticTrace trace_;
+};
+
 } // namespace ladder
 
 #endif // LADDER_TRACE_SYNTH_HH

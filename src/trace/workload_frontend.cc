@@ -86,22 +86,10 @@ externTraceInfoFor(const std::string &name,
 WorkloadInstance
 makeWorkloadInstance(const std::string &name, std::uint64_t seedSalt,
                      double scale,
-                     const WorkloadFrontendOptions &options,
-                     const std::string &traceFile)
+                     const WorkloadFrontendOptions &options)
 {
     WorkloadInstance inst;
     inst.name = name;
-
-    if (!traceFile.empty()) {
-        // Legacy recorded-trace replay (SystemConfig::traceFiles):
-        // the name still supplies the seed, content defaults to
-        // zeros — bit-identical to the pre-frontend behaviour.
-        WorkloadParams params = workloadByName(name, seedSalt, scale);
-        inst.source = std::make_unique<TraceFileSource>(traceFile);
-        inst.firstTouch = PatternMix{1, 0, 0, 0, 0, 0};
-        inst.seed = params.seed;
-        return inst;
-    }
 
     if (isTraceWorkload(name)) {
         auto trace = externTraceInfoFor(name, options);

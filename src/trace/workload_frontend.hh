@@ -79,16 +79,11 @@ struct WorkloadInstance
  * @param seedSalt Mixed into the seed (distinct per core).
  * @param scale Working-set scale factor.
  * @param options Frontend knobs (external replay only).
- * @param traceFile Legacy recorded-trace override: when non-empty the
- *        core replays this LDTRACE1 file (SystemConfig::traceFiles)
- *        with zeroed first-touch content, exactly as before the
- *        frontend existed.
  */
 WorkloadInstance
 makeWorkloadInstance(const std::string &name, std::uint64_t seedSalt,
                      double scale,
-                     const WorkloadFrontendOptions &options = {},
-                     const std::string &traceFile = "");
+                     const WorkloadFrontendOptions &options = {});
 
 /**
  * Provenance of an external trace for run manifests: loads (memoized)

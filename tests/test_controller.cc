@@ -6,7 +6,6 @@
 
 #include "common/rng.hh"
 #include "ctrl/controller.hh"
-#include "ctrl/trace_sink.hh"
 #include "schemes/factory.hh"
 #include "schemes/ladder_schemes.hh"
 
@@ -291,94 +290,6 @@ TEST(Controller, ReadLatencyIncludesQueueing)
     EXPECT_GT(ctrl.readLatencyNs.mean(), 32.5);
     EXPECT_EQ(ctrl.dataReads.value(), static_cast<double>(issued));
 }
-
-/**
- * The surface-off differential: with `latency.surface=` disabled the
- * controller consults the bucketed tables directly; with it enabled it
- * reads the precomputed dense surfaces. The two paths must choose a
- * bit-identical tWR for every write of every scheme — the surfaces are
- * a pure host-side optimization.
- */
-class SurfaceDifferential : public ::testing::TestWithParam<SchemeKind>
-{
-};
-
-TEST_P(SurfaceDifferential, IdenticalPerWriteRecords)
-{
-    ControllerConfig tableCfg;
-    tableCfg.latencySurface = false;
-    Rig surfaceRig(GetParam());
-    Rig tableRig(GetParam(), tableCfg);
-    ASSERT_TRUE(surfaceRig.controllers[0]->surfaceEnabled());
-    ASSERT_FALSE(tableRig.controllers[0]->surfaceEnabled());
-
-    std::vector<WriteTraceSink> surfaceSinks(
-        surfaceRig.controllers.size());
-    std::vector<WriteTraceSink> tableSinks(tableRig.controllers.size());
-    for (std::size_t ch = 0; ch < surfaceRig.controllers.size(); ++ch) {
-        surfaceRig.controllers[ch]->setTraceSink(&surfaceSinks[ch]);
-        tableRig.controllers[ch]->setTraceSink(&tableSinks[ch]);
-    }
-
-    // A content mix that spans the surface axes: sparse, dense, and
-    // random lines over addresses that hit many wordline/bitline
-    // regions.
-    Rng rng(17);
-    for (int i = 0; i < 120; ++i) {
-        Addr addr = rng.nextBounded(8192) * lineBytes;
-        LineData data;
-        switch (i % 4) {
-        case 0:
-            data = filledLine(0x00);
-            data[i % lineBytes] = 0x01;
-            break;
-        case 1:
-            data = filledLine(0xff);
-            break;
-        case 2:
-            data = patternLine(static_cast<std::uint8_t>(i));
-            break;
-        default:
-            for (auto &byte : data)
-                byte = static_cast<std::uint8_t>(rng.nextBounded(256));
-            break;
-        }
-        surfaceRig.route(addr).enqueueWrite(addr, data);
-        tableRig.route(addr).enqueueWrite(addr, data);
-    }
-    surfaceRig.events.runUntil();
-    tableRig.events.runUntil();
-
-    std::size_t writesSeen = 0;
-    for (std::size_t ch = 0; ch < surfaceSinks.size(); ++ch) {
-        const auto &sur = surfaceSinks[ch].records();
-        const auto &tab = tableSinks[ch].records();
-        ASSERT_EQ(sur.size(), tab.size()) << "channel " << ch;
-        for (std::size_t i = 0; i < sur.size(); ++i) {
-            EXPECT_EQ(sur[i].tick, tab[i].tick)
-                << "channel " << ch << " record " << i;
-            EXPECT_EQ(sur[i].kind, tab[i].kind);
-            EXPECT_EQ(sur[i].wordline, tab[i].wordline);
-            EXPECT_EQ(sur[i].bitline, tab[i].bitline);
-            EXPECT_EQ(sur[i].lrsCount, tab[i].lrsCount);
-            // Bit-identical chosen tWR, not merely close.
-            EXPECT_EQ(sur[i].latencyNs, tab[i].latencyNs)
-                << "channel " << ch << " record " << i;
-            EXPECT_EQ(sur[i].queueDepth, tab[i].queueDepth);
-            if (sur[i].kind == CtrlTraceRecord::Kind::Write)
-                ++writesSeen;
-        }
-    }
-    EXPECT_GT(writesSeen, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, SurfaceDifferential,
-    ::testing::Values(SchemeKind::Baseline, SchemeKind::Location,
-                      SchemeKind::SplitReset, SchemeKind::Blp,
-                      SchemeKind::LadderBasic, SchemeKind::LadderEst,
-                      SchemeKind::LadderEstNoShift,
-                      SchemeKind::LadderHybrid, SchemeKind::Oracle));
 
 TEST(Controller, InjectedWritesBypassAdmission)
 {

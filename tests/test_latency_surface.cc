@@ -185,31 +185,6 @@ TEST(LatencySurface, BoundaryCases)
               m.locationSurface->lookup(3, 7, cmax).latencyNs);
 }
 
-TEST(LatencySurface, LookupBatchMatchesScalar)
-{
-    const TimingModel &m = model();
-    const LatencySurface &s = *m.ladderSurface;
-    std::mt19937 rng(7);
-    std::uniform_int_distribution<unsigned> wlD(0, s.rows() - 1);
-    std::uniform_int_distribution<unsigned> blD(0, s.cols() - 1);
-    std::uniform_int_distribution<unsigned> cD(0, s.contentDense() + 8);
-    std::vector<SurfaceQuery> queries(1024);
-    for (SurfaceQuery &q : queries)
-        q = SurfaceQuery{wlD(rng), blD(rng), cD(rng)};
-
-    std::vector<TimingEntry> batch = s.lookupBatch(queries);
-    ASSERT_EQ(batch.size(), queries.size());
-    std::vector<TimingEntry> raw(queries.size());
-    s.lookupBatch(queries.data(), queries.size(), raw.data());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        const TimingEntry &want = s.lookup(
-            queries[i].wordline, queries[i].bitline, queries[i].lrsCount);
-        EXPECT_EQ(batch[i].latencyNs, want.latencyNs);
-        EXPECT_EQ(batch[i].powerMw, want.powerMw);
-        EXPECT_EQ(raw[i].latencyNs, want.latencyNs);
-    }
-}
-
 TEST(LatencySurface, VerifyDetectsTableDrift)
 {
     const TimingModel &m = model();

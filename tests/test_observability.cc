@@ -74,19 +74,22 @@ TEST(TraceSink, CsvAndBinaryRoundTrip)
               std::string::npos);
 
     std::ostringstream bin;
-    sink.writeBinary(bin);
+    sink.writeBinaryV2(bin, 64);
     std::string bytes = bin.str();
-    // 16-byte header + 24 bytes per record.
-    ASSERT_EQ(bytes.size(), 16u + 2u * 24u);
+    // 16-byte header, one 12-byte chunk header, 24 bytes per record,
+    // a one-entry 36-byte footer, and the 16-byte trailer.
+    ASSERT_EQ(bytes.size(), 16u + 12u + 2u * 24u + 36u + 16u);
     EXPECT_EQ(bytes.substr(0, 8), "LADDRTRC");
-    // Version 1, count 2 (little endian).
-    EXPECT_EQ(static_cast<unsigned char>(bytes[8]), 1u);
-    EXPECT_EQ(static_cast<unsigned char>(bytes[12]), 2u);
+    // Version 2, chunk capacity 64, one chunk of 2 (little endian).
+    EXPECT_EQ(static_cast<unsigned char>(bytes[8]), 2u);
+    EXPECT_EQ(static_cast<unsigned char>(bytes[12]), 64u);
+    EXPECT_EQ(bytes.substr(16, 4), "CHNK");
+    EXPECT_EQ(static_cast<unsigned char>(bytes[20]), 2u);
     // First record starts with the 64-bit tick, little endian.
     std::uint64_t tick = 0;
     for (int i = 7; i >= 0; --i)
         tick = (tick << 8) |
-               static_cast<unsigned char>(bytes[16 + i]);
+               static_cast<unsigned char>(bytes[28 + i]);
     EXPECT_EQ(tick, 123456789u);
 
     sink.clear();

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/param_registry.hh"
 #include "sim/config_resolve.hh"
 #include "sim/experiment.hh"
 
@@ -145,6 +147,56 @@ TEST(ParamRegistry, UnknownCliKeySuggestsNearMiss)
     EXPECT_NE(what.find("did you mean 'measure'?"),
               std::string::npos)
         << what;
+
+    // Retired keys are unknown, not silently accepted.
+    for (const char *arg :
+         {"latency.surface=false", "latency.surface-check=true",
+          "latency.error-budget=0.1"}) {
+        EXPECT_NE(errorOf({arg}).find("unknown config key"),
+                  std::string::npos)
+            << arg;
+    }
+}
+
+TEST(ParamRegistry, ApplyArgsSetsKeysAndReturnsPositionals)
+{
+    struct Opts
+    {
+        std::string mode = "dump";
+        std::int64_t limit = -1;
+    };
+    ParamRegistry<Opts> reg;
+    reg.addChoice(
+        "mode", [](Opts &o) -> std::string & { return o.mode; },
+        "Output mode", {"dump", "summary"});
+    reg.addInt<std::int64_t>(
+        "limit", [](Opts &o) -> std::int64_t & { return o.limit; },
+        "Record limit", -1, 100);
+
+    Opts opts;
+    const char *argv[] = {"prog", "mode=summary", "trace.bin",
+                          "limit=5", "limit=7", "=x"};
+    EXPECT_EQ(reg.applyArgs(opts, 6, argv),
+              (std::vector<std::string>{"trace.bin", "=x"}));
+    EXPECT_EQ(opts.mode, "summary");
+    EXPECT_EQ(opts.limit, 7); // argv order: last wins
+
+    const auto fails = [&](const char *arg) {
+        const char *args[] = {"prog", arg};
+        Opts o;
+        try {
+            reg.applyArgs(o, 2, args);
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_NE(fails("mde=dump").find("did you mean 'mode'?"),
+              std::string::npos);
+    EXPECT_NE(fails("limit=101").find("out of range"),
+              std::string::npos);
+    EXPECT_NE(fails("mode=chunks").find("must be one of"),
+              std::string::npos);
 }
 
 TEST(ParamRegistry, NegativeValueIntoUnsignedIsRejected)
@@ -193,10 +245,12 @@ TEST(ParamRegistry, NonNumericValueIsRejected)
 
 TEST(ParamRegistry, BadChoiceSuggests)
 {
-    std::string what = errorOf({"trace-format=binx"});
-    EXPECT_NE(what.find("{csv|bin|bin2}"), std::string::npos) << what;
+    for (const char *arg : {"trace-format=binx", "trace-format=bin"}) {
+        std::string what = errorOf({arg});
+        EXPECT_NE(what.find("{csv|bin2}"), std::string::npos) << what;
+    }
 
-    what = errorOf({"fnw-mode=clasical"});
+    std::string what = errorOf({"fnw-mode=clasical"});
     EXPECT_NE(what.find("did you mean 'classical'?"),
               std::string::npos)
         << what;

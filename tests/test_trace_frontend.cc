@@ -327,8 +327,7 @@ TEST(ExternParse, MixedFormatConfusionIsRejected)
     EXPECT_FALSE(
         parseExternTrace(csv, ExternTraceFormat::Auto).ok());
 
-    // A core-level LDTRACE1 recording is not an external format
-    // either (it replays through SystemConfig::traceFiles instead).
+    // Nor is the retired core-level LDTRACE1 recording format.
     std::string ldtrace = "LDTRACE1";
     ldtrace.append(16, '\0');
     EXPECT_FALSE(

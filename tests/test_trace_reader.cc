@@ -136,17 +136,6 @@ expectReadsBack(TraceReader &reader,
 }
 
 std::string
-serializeV1(const std::vector<CtrlTraceRecord> &records)
-{
-    WriteTraceSink sink;
-    for (const auto &r : records)
-        sink.record(r);
-    std::ostringstream os;
-    sink.writeBinary(os);
-    return os.str();
-}
-
-std::string
 serializeV3(const std::vector<CtrlTraceRecord> &records,
             std::size_t chunkRecords)
 {
@@ -194,20 +183,6 @@ serializeCsv(const std::vector<CtrlTraceRecord> &records)
     return os.str();
 }
 
-TEST(TraceReader, V1RoundTrip)
-{
-    auto records = randomRecords(257, 0xA1);
-    TraceReader reader;
-    ASSERT_TRUE(reader.openBuffer(serializeV1(records)))
-        << reader.error();
-    EXPECT_EQ(reader.format(), TraceFormat::BinaryV1);
-    EXPECT_EQ(reader.version(), 1u);
-    EXPECT_TRUE(reader.knownTotal());
-    EXPECT_EQ(reader.totalRecords(), records.size());
-    EXPECT_EQ(reader.chunkCount(), 0u);
-    expectReadsBack(reader, records);
-}
-
 TEST(TraceReader, V2RoundTripAcrossChunkGeometries)
 {
     // Partial tail, exact multiple, single oversize chunk, chunk=1.
@@ -246,7 +221,7 @@ TEST(TraceReader, EmptyTracesRoundTrip)
 {
     const std::vector<CtrlTraceRecord> none;
     for (const std::string &bytes :
-         {serializeV1(none), serializeV2(none, 64),
+         {serializeV2(none, 64), serializeV3(none, 64),
           serializeCsv(none)}) {
         TraceReader reader;
         ASSERT_TRUE(reader.openBuffer(bytes)) << reader.error();
@@ -295,7 +270,7 @@ TEST(TraceReader, EveryTruncationIsAnErrorNotACrash)
 {
     auto records = randomRecords(20, 0xE1);
     for (const std::string &whole :
-         {serializeV1(records), serializeV2(records, 8)}) {
+         {serializeV2(records, 8), serializeV3(records, 8)}) {
         for (std::size_t len = 0; len < whole.size(); ++len) {
             TraceReader reader;
             reader.openBuffer(whole.substr(0, len));
@@ -352,7 +327,6 @@ TEST(TraceReader, CsvTruncationAndMalformedRowsError)
 TEST(TraceReader, BadMagicAndVersionError)
 {
     auto records = randomRecords(4, 0xE3);
-    std::string v1 = serializeV1(records);
     std::string v2 = serializeV2(records, 8);
 
     std::string badMagic = v2;
@@ -368,13 +342,22 @@ TEST(TraceReader, BadMagicAndVersionError)
     EXPECT_NE(r2.error().find("version"), std::string::npos)
         << r2.error();
 
-    // v1 with trailing garbage is rejected by the exact-size check.
+    // The retired v1 packed binary is refused by version.
+    std::string v1Header = v2;
+    v1Header[8] = 1;
     TraceReader r3;
-    r3.openBuffer(v1 + "x");
+    EXPECT_FALSE(r3.openBuffer(v1Header));
+    EXPECT_NE(r3.error().find("unsupported trace version 1"),
+              std::string::npos)
+        << r3.error();
+
+    // Trailing garbage hides the end magic.
+    TraceReader r4;
+    r4.openBuffer(v2 + "x");
     CtrlTraceRecord rec;
-    while (r3.next(rec)) {
+    while (r4.next(rec)) {
     }
-    EXPECT_FALSE(r3.ok());
+    EXPECT_FALSE(r4.ok());
 }
 
 TEST(TraceReader, EveryV2ByteFlipIsDetectedOrHarmless)
@@ -671,7 +654,7 @@ TEST(TraceAttr, OffSerializationIgnoresPopulatedBlameBlocks)
         r.attr = WriteAttribution{};
     EXPECT_EQ(serializeV2(records, 8), serializeV2(zeroed, 8));
     EXPECT_EQ(serializeCsv(records), serializeCsv(zeroed));
-    EXPECT_EQ(serializeV1(records), serializeV1(zeroed));
+    EXPECT_EQ(serializeV2(records, 1), serializeV2(zeroed, 1));
 }
 
 TEST(TraceAttr, CsvAttributionAddsExactlyTheBlameColumns)
