@@ -221,6 +221,61 @@ BM_BackingStoreWrite(benchmark::State &state)
 BENCHMARK(BM_BackingStoreWrite);
 
 /**
+ * The store work of one data-write dispatch: resolve the line once,
+ * then scan its page's wordline counters and its block's 512 bitline
+ * counters. Addresses cycle over 256 resident pages in 64 mat groups.
+ */
+void
+BM_BackingStoreDispatchScan(benchmark::State &state)
+{
+    BackingStore store(MemoryGeometry{}, true, 0.4);
+    store.setPageInitializer([](std::uint64_t page, PageContent &c) {
+        Rng rng(page + 1);
+        for (auto &block : c.blocks)
+            block = randomLine(rng);
+    });
+    Rng rng(12);
+    std::vector<Addr> addrs;
+    for (int i = 0; i < 1024; ++i)
+        addrs.push_back(rng.nextBounded(256) * MemoryGeometry::pageBytes +
+                        rng.nextBounded(64) * lineBytes);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const StoreLine line = store.line(addrs[i++ % addrs.size()]);
+        benchmark::DoNotOptimize(store.maxMatLrsCount(line));
+        benchmark::DoNotOptimize(store.maxSelectedBitlineLrs(line));
+    }
+}
+BENCHMARK(BM_BackingStoreDispatchScan);
+
+/**
+ * Event kernel schedule + drain, 64 events per batch at scattered
+ * ticks: Arg 0 captures a pointer and a slot number (the controller's
+ * completions), Arg 1 a whole WriteEntry (a heap-allocated capture).
+ */
+void
+BM_EventQueueScheduleDrain(benchmark::State &state)
+{
+    EventQueue queue;
+    WriteEntry entry;
+    entry.id = static_cast<std::uint64_t>(state.range(0)) + 1;
+    std::uint64_t sum = 0, executed = 0;
+    for (auto _ : state) {
+        for (std::uint32_t i = 0; i < 64; ++i) {
+            const Tick when = queue.now() + 1 + (i * 37u) % 64;
+            if (state.range(0) == 0)
+                queue.schedule(when, [&sum, i]() { sum += i; });
+            else
+                queue.schedule(when, [&sum, entry]() { sum += entry.id; });
+        }
+        executed += queue.runUntil();
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+}
+BENCHMARK(BM_EventQueueScheduleDrain)->Arg(0)->Arg(1);
+
+/**
  * Full controller write path — enqueue through dispatch to
  * completion — with the latency-attribution knob off (Arg 0) and on
  * (Arg 1). The two timings bound what trace.attribution=1 costs per

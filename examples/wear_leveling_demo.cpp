@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "sim/config_resolve.hh"
 #include "sim/experiment.hh"
@@ -27,8 +28,13 @@ using namespace ladder;
 int
 main(int argc, char **argv)
 {
-    ResolvedExperiment resolved =
-        resolveExperiment(argc, argv, defaultExperimentConfig());
+    ResolvedExperiment resolved;
+    try {
+        resolved =
+            resolveExperiment(argc, argv, defaultExperimentConfig());
+    } catch (const std::runtime_error &) {
+        return 2; // fatal() has printed the diagnostic
+    }
     if (resolved.helpRequested) {
         std::cout << "parameters (key=value; also loadable from "
                      "config= JSON):\n";

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,8 +43,13 @@ using namespace ladder;
 int
 main(int argc, char **argv)
 {
-    ResolvedExperiment resolved =
-        resolveExperiment(argc, argv, defaultExperimentConfig());
+    ResolvedExperiment resolved;
+    try {
+        resolved =
+            resolveExperiment(argc, argv, defaultExperimentConfig());
+    } catch (const std::runtime_error &) {
+        return 2; // fatal() has printed the diagnostic
+    }
     if (resolved.helpRequested) {
         if (resolved.helpFormat == "md") {
             experimentRegistry().helpMarkdown(std::cout,

@@ -7,7 +7,7 @@
 namespace ladder
 {
 
-EventId
+void
 EventQueue::schedule(Tick when, std::function<void()> callback,
                      int priority)
 {
@@ -15,65 +15,39 @@ EventQueue::schedule(Tick when, std::function<void()> callback,
                   "scheduling event in the past (%llu < %llu)",
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(now_));
-    EventId id = nextId_++;
-    heap_.push(Entry{when, priority, id, std::move(callback)});
-    ++live_;
-    return id;
+    const std::uint32_t slot = callbacks_.put(std::move(callback));
+    heap_.push_back(Key{when, nextSeq_++, priority, slot});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<Key>{});
 }
 
-EventId
+void
 EventQueue::scheduleIn(Tick delay, std::function<void()> callback,
                        int priority)
 {
-    return schedule(now_ + delay, std::move(callback), priority);
+    schedule(now_ + delay, std::move(callback), priority);
 }
 
 void
-EventQueue::deschedule(EventId id)
+EventQueue::fireNext()
 {
-    if (isCancelled(id))
-        return;
-    cancelled_.push_back(id);
-    if (live_ > 0)
-        --live_;
-}
-
-bool
-EventQueue::isCancelled(EventId id) const
-{
-    return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-           cancelled_.end();
-}
-
-void
-EventQueue::forgetCancelled(EventId id)
-{
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-    if (it != cancelled_.end())
-        cancelled_.erase(it);
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Key>{});
+    const Key key = heap_.back();
+    heap_.pop_back();
+    // Take the callback out first: it may schedule events that reuse
+    // its slot.
+    std::function<void()> callback = callbacks_.take(key.slot);
+    now_ = key.when;
+    ++executed_;
+    callback();
 }
 
 std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t count = 0;
-    while (!heap_.empty()) {
-        const Entry &top = heap_.top();
-        if (top.when > limit)
-            break;
-        if (isCancelled(top.id)) {
-            forgetCancelled(top.id);
-            heap_.pop();
-            continue;
-        }
-        // Copy out before popping; the callback may schedule new events.
-        Entry entry = top;
-        heap_.pop();
-        --live_;
-        now_ = entry.when;
-        ++executed_;
+    while (!heap_.empty() && heap_.front().when <= limit) {
+        fireNext();
         ++count;
-        entry.callback();
     }
     if (heap_.empty() && now_ < limit && limit != maxTick)
         now_ = limit;
@@ -83,22 +57,10 @@ EventQueue::runUntil(Tick limit)
 bool
 EventQueue::step()
 {
-    while (!heap_.empty()) {
-        const Entry &top = heap_.top();
-        if (isCancelled(top.id)) {
-            forgetCancelled(top.id);
-            heap_.pop();
-            continue;
-        }
-        Entry entry = top;
-        heap_.pop();
-        --live_;
-        now_ = entry.when;
-        ++executed_;
-        entry.callback();
-        return true;
-    }
-    return false;
+    if (heap_.empty())
+        return false;
+    fireNext();
+    return true;
 }
 
 } // namespace ladder

@@ -10,23 +10,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
+#include "slab.hh"
 #include "types.hh"
 
 namespace ladder
 {
 
-/** Identifier handed back by schedule() so events can be descheduled. */
-using EventId = std::uint64_t;
-
 /**
  * The event queue at the heart of the simulator.
  *
  * Events at the same tick execute in (priority, insertion) order so that
- * behaviour is fully deterministic. Descheduling is lazy: cancelled
- * events stay in the heap but are skipped when popped.
+ * behaviour is fully deterministic. The binary heap holds small plain
+ * keys; each callback waits in a slab slot the key names, so reordering
+ * the heap never moves a std::function. A callback that captures only a
+ * pointer and a slot number fits std::function's inline buffer, so
+ * scheduling it allocates nothing.
  */
 class EventQueue
 {
@@ -41,23 +41,19 @@ class EventQueue
      * Schedule @p callback at absolute time @p when.
      *
      * @pre when >= now()
-     * @return An id usable with deschedule().
      */
-    EventId schedule(Tick when, std::function<void()> callback,
-                     int priority = defaultPriority);
+    void schedule(Tick when, std::function<void()> callback,
+                  int priority = defaultPriority);
 
     /** Schedule @p callback @p delay ticks in the future. */
-    EventId scheduleIn(Tick delay, std::function<void()> callback,
-                       int priority = defaultPriority);
+    void scheduleIn(Tick delay, std::function<void()> callback,
+                    int priority = defaultPriority);
 
-    /** Cancel a previously scheduled event. Safe to call twice. */
-    void deschedule(EventId id);
+    /** Whether no events remain. */
+    bool empty() const { return heap_.empty(); }
 
-    /** Whether any live (non-cancelled) events remain. */
-    bool empty() const { return live_ == 0; }
-
-    /** Number of live events. */
-    std::uint64_t pending() const { return live_; }
+    /** Number of pending events. */
+    std::uint64_t pending() const { return heap_.size(); }
 
     /**
      * Run events until the queue is empty or time would pass @p limit.
@@ -74,34 +70,32 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
   private:
-    struct Entry
+    struct Key
     {
         Tick when;
+        std::uint64_t seq; //!< insertion order
         int priority;
-        EventId id;
-        std::function<void()> callback;
+        std::uint32_t slot; //!< callback's slab slot
 
         bool
-        operator>(const Entry &other) const
+        operator>(const Key &other) const
         {
             if (when != other.when)
                 return when > other.when;
             if (priority != other.priority)
                 return priority > other.priority;
-            return id > other.id;
+            return seq > other.seq;
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        heap_;
-    std::vector<EventId> cancelled_;
+    std::vector<Key> heap_;
+    Slab<std::function<void()>> callbacks_;
     Tick now_ = 0;
-    EventId nextId_ = 1;
-    std::uint64_t live_ = 0;
+    std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
 
-    bool isCancelled(EventId id) const;
-    void forgetCancelled(EventId id);
+    /** Pop the earliest event, advance time to it, and run it. */
+    void fireNext();
 };
 
 } // namespace ladder

@@ -178,8 +178,9 @@ MemoryController::notifyRetry()
 LineData
 MemoryController::readLogical(Addr physLineAddr)
 {
-    LineData raw = store_.read(physLineAddr);
-    if (store_.flipped(physLineAddr))
+    const StoreLine line = store_.line(physLineAddr);
+    LineData raw = store_.read(line);
+    if (store_.flipped(line))
         raw = invertLine(raw);
     return scheme_->decodeData(physLineAddr, raw);
 }
@@ -198,10 +199,10 @@ MemoryController::functionalWrite(Addr lineAddr, const LineData &data)
     FnwMode mode = cfg_.fnwMode;
     if (mode != FnwMode::Off && scheme_->constrainedFnw())
         mode = FnwMode::Constrained;
-    const LineData &stored = store_.read(phys);
-    FnwDecision fnw = fnwDecide(stored, encoded, mode);
-    store_.setFlipped(phys, fnw.flip);
-    store_.write(phys, fnw.data);
+    const StoreLine line = store_.line(phys);
+    FnwDecision fnw = fnwDecide(store_.read(line), encoded, mode);
+    store_.setFlipped(line, fnw.flip);
+    store_.write(line, fnw.data);
 }
 
 void
@@ -520,10 +521,10 @@ MemoryController::issueOneRead(std::deque<ReadEntry> &queue)
         Tick respond = busy + tBurst_;
         readEnergyPj += cfg_.readEnergyPj;
         bool wasFull = queue.size() + 1 >= cfg_.readQueueEntries;
-        events_.schedule(respond,
-                         [this, e = std::move(taken), respond]() mutable {
-                             completeRead(std::move(e), respond);
-                         });
+        const std::uint32_t slot = readsInFlight_.put(std::move(taken));
+        events_.schedule(respond, [this, slot]() {
+            completeRead(readsInFlight_.take(slot));
+        });
         if (&queue == &readQueue_ && wasFull)
             notifyRetry();
         return true;
@@ -538,8 +539,9 @@ MemoryController::issueOneInternal()
 }
 
 void
-MemoryController::completeRead(ReadEntry entry, Tick when)
+MemoryController::completeRead(ReadEntry entry)
 {
+    const Tick when = events_.now();
     switch (entry.kind) {
       case ReadKind::Data: {
         LineData logical = readLogical(entry.addr);
@@ -741,11 +743,11 @@ MemoryController::issueOneWrite()
         Tick busy = events_.now() + tRcd_ + nsToTicks(latencyNs);
         bankBusyUntil_[bank] = busy;
         lastIssueTick_ = events_.now();
-        events_.schedule(
-            busy, [this, e = std::move(taken), latencyNs, powerMw,
-                   busy]() mutable {
-                completeWrite(std::move(e), latencyNs, powerMw, busy);
-            });
+        const std::uint32_t slot = writesInFlight_.put(
+            InFlightWrite{std::move(taken), {}, latencyNs, powerMw});
+        events_.schedule(busy, [this, slot]() {
+            completeWrite(writesInFlight_.take(slot));
+        });
         return true;
     }
 
@@ -776,8 +778,9 @@ MemoryController::issueOneWrite()
         FnwMode mode = cfg_.fnwMode;
         if (mode != FnwMode::Off && scheme_->constrainedFnw())
             mode = FnwMode::Constrained;
-        const LineData &stored = store_.read(taken.addr);
-        FnwDecision fnw = fnwDecide(stored, taken.physData, mode);
+        const StoreLine line = store_.line(taken.addr);
+        FnwDecision fnw = fnwDecide(store_.read(line), taken.physData,
+                                    mode);
         if (fnw.flip)
             ++fnwFlips;
         if (fnw.flipCancelled)
@@ -786,8 +789,8 @@ MemoryController::issueOneWrite()
         // One ground-truth content scan per dispatch, shared by the
         // scheme decision, power accounting, and the trace record
         // (the store cannot change before completeWrite persists).
-        taken.dispatchCw = store_.maxMatLrsCount(taken.loc.pageIndex);
-        taken.dispatchCbl = store_.maxSelectedBitlineLrs(taken.addr);
+        taken.dispatchCw = store_.maxMatLrsCount(line);
+        taken.dispatchCbl = store_.maxSelectedBitlineLrs(line);
 
         WriteDecision decision =
             scheme_->decideWrite(*this, taken, fnw.data);
@@ -842,12 +845,12 @@ MemoryController::issueOneWrite()
             writeQueue_.size() + 1 >= cfg_.writeQueueEntries;
         taken.schemeScratch = fnw.flip ? 1u : 0u;
         taken.physData = fnw.data;
-        events_.schedule(
-            busy, [this, e = std::move(taken),
-                   latencyNs = decision.latencyNs,
-                   powerMw = decision.powerMw, busy]() mutable {
-                completeWrite(std::move(e), latencyNs, powerMw, busy);
-            });
+        const std::uint32_t slot = writesInFlight_.put(
+            InFlightWrite{std::move(taken), line, decision.latencyNs,
+                          decision.powerMw});
+        events_.schedule(busy, [this, slot]() {
+            completeWrite(writesInFlight_.take(slot));
+        });
         if (wasFull)
             notifyRetry();
         return true;
@@ -856,19 +859,19 @@ MemoryController::issueOneWrite()
 }
 
 void
-MemoryController::completeWrite(WriteEntry entry, double latencyNs,
-                                double powerMw, Tick when)
+MemoryController::completeWrite(InFlightWrite done)
 {
-    (void)when;
-    double energyPj = powerMw * latencyNs;
+    WriteEntry &entry = done.entry;
+    const double latencyNs = done.latencyNs;
+    double energyPj = done.powerMw * latencyNs;
     if (entry.isMetadataWrite) {
         ++metadataWrites;
         metaWriteEnergyPj += energyPj;
         writeEnergyPj += energyPj;
         ++pageWrites_[entry.addr / MemoryGeometry::pageBytes];
     } else {
-        store_.setFlipped(entry.addr, entry.schemeScratch != 0);
-        BitTransitions t = store_.write(entry.addr, entry.physData);
+        store_.setFlipped(done.line, entry.schemeScratch != 0);
+        BitTransitions t = store_.write(done.line, entry.physData);
         cellResets += t.resets;
         cellSets += t.sets;
         energyPj += (t.resets + t.sets) * cfg_.transitionEnergyPj;

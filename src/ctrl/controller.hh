@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/slab.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "ctrl/fnw.hh"
@@ -247,6 +248,15 @@ class MemoryController
         std::uint64_t writeId = 0;           //!< SMB: dependent write
     };
 
+    /** A dispatched write waiting for its completion event. */
+    struct InFlightWrite
+    {
+        WriteEntry entry;
+        StoreLine line; //!< resolved at dispatch; unset for metadata
+        double latencyNs = 0.0;
+        double powerMw = 0.0;
+    };
+
     struct PendingMetaFill
     {
         Addr metaAddr;
@@ -272,6 +282,9 @@ class MemoryController
     std::deque<WriteEntry> metaWrites_;    //!< metadata writebacks
     std::deque<Addr> spillBuffer_;         //!< blocked metadata fills
     std::vector<PendingMetaFill> pendingFills_;
+    /** Issued reads and writes; completion events capture a slot. */
+    Slab<ReadEntry> readsInFlight_;
+    Slab<InFlightWrite> writesInFlight_;
 
     std::vector<Tick> bankBusyUntil_; //!< per (rank, bank) in channel
     Tick lastIssueTick_ = 0;
@@ -300,9 +313,8 @@ class MemoryController
     bool issueOneWrite();
     bool issueOneInternal();
     WriteEntry *findWrite(std::uint64_t id);
-    void completeRead(ReadEntry entry, Tick when);
-    void completeWrite(WriteEntry entry, double latencyNs,
-                       double powerMw, Tick when);
+    void completeRead(ReadEntry entry);
+    void completeWrite(InFlightWrite done);
     /**
      * Causal blame decomposition of one data-write dispatch (only
      * called with cfg.attribution on). @p prevBankBusy is the bank's

@@ -7,12 +7,25 @@
 namespace ladder
 {
 
+namespace
+{
+
+/** Index slots before the first growth (grows at half full). */
+constexpr unsigned initialIndexLog2 = 10;
+/** Bitline counters one block selects (8 in each of 64 mats). */
+constexpr unsigned bitlinesPerBlock = MemoryGeometry::matsPerGroup * 8;
+
+} // anonymous namespace
+
 BackingStore::BackingStore(const MemoryGeometry &geo, bool trackBitlines,
                            double backgroundDensity)
     : geo_(geo),
       map_(geo),
+      totalPages_(map_.totalPages()),
       trackBitlines_(trackBitlines),
-      backgroundDensity_(backgroundDensity)
+      backgroundDensity_(backgroundDensity),
+      index_(std::size_t{1} << initialIndexLog2),
+      indexShift_(64 - initialIndexLog2)
 {
     ladder_assert(backgroundDensity >= 0.0 && backgroundDensity <= 1.0,
                   "background density out of range");
@@ -25,16 +38,66 @@ BackingStore::setPageInitializer(PageInitializer init)
     init_ = std::move(init);
 }
 
-PageContent &
-BackingStore::page(std::uint64_t pageIndex)
+std::size_t
+BackingStore::probeStart(std::uint64_t pageIndex) const
 {
-    auto it = pages_.find(pageIndex);
-    if (it != pages_.end())
-        return it->second;
+    // Fibonacci hashing: the top bits of the product spread runs of
+    // consecutive or strided page numbers across the table.
+    return (pageIndex * 0x9e3779b97f4a7c15ull) >> indexShift_;
+}
 
-    PageContent &content = pages_[pageIndex];
+PageContent *
+BackingStore::findPage(std::uint64_t pageIndex) const
+{
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = probeStart(pageIndex);; i = (i + 1) & mask) {
+        PageContent *content = index_[i];
+        if (!content || content->pageIndex == pageIndex)
+            return content;
+    }
+}
+
+void
+BackingStore::insertIndex(PageContent *content)
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = probeStart(content->pageIndex);
+    while (index_[i])
+        i = (i + 1) & mask;
+    index_[i] = content;
+}
+
+StoreLine
+BackingStore::line(Addr lineAddr)
+{
+    const std::uint64_t pageIndex = map_.pageOf(lineAddr);
+    ladder_assert(pageIndex < totalPages_,
+                  "address 0x%llx beyond memory capacity",
+                  static_cast<unsigned long long>(lineAddr));
+    const auto block = static_cast<unsigned>(
+        (lineAddr / lineBytes) % MemoryGeometry::blocksPerPage);
+    PageContent *content = findPage(pageIndex);
+    return {content ? content : &materialize(lineAddr), block};
+}
+
+PageContent &
+BackingStore::materialize(Addr lineAddr)
+{
+    const BlockLocation loc = map_.decode(lineAddr);
+    if ((pages_.size() + 1) * 2 > index_.size()) {
+        // Keep the index at most half full: double it and rehash.
+        std::vector<PageContent *> old(index_.size() * 2);
+        old.swap(index_);
+        --indexShift_;
+        for (PageContent *content : old)
+            if (content)
+                insertIndex(content);
+    }
+    PageContent &content = pages_.emplace_back();
     if (init_)
-        init_(pageIndex, content);
+        init_(loc.pageIndex, content);
+    content.pageIndex = loc.pageIndex;
+    insertIndex(&content);
     // Establish the mat counters from the initial content.
     for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
         unsigned count = 0;
@@ -44,11 +107,11 @@ BackingStore::page(std::uint64_t pageIndex)
     }
     if (trackBitlines_) {
         // Fold the initial content into the bitline counters.
-        BlockLocation loc = map_.decode(pageIndex *
-                                        MemoryGeometry::pageBytes);
-        auto &counters = groupCounters(loc);
+        content.bitlines = groupCounters(loc);
         for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
             const LineData &block = content.blocks[b];
+            std::uint16_t *counts =
+                content.bitlines + b * bitlinesPerBlock;
             for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup;
                  ++mat) {
                 std::uint8_t byte = block[mat];
@@ -57,8 +120,7 @@ BackingStore::page(std::uint64_t pageIndex)
                         static_cast<unsigned>(std::countr_zero(byte));
                     byte = static_cast<std::uint8_t>(byte &
                                                      (byte - 1));
-                    ++counters.counts[mat * geo_.matCols + b * 8 +
-                                      bit];
+                    ++counts[mat * 8 + bit];
                 }
             }
         }
@@ -66,46 +128,32 @@ BackingStore::page(std::uint64_t pageIndex)
     return content;
 }
 
-std::uint64_t
-BackingStore::matGroupKey(const BlockLocation &loc) const
-{
-    std::uint64_t key = loc.flatBank(geo_);
-    return key * geo_.matGroupsPerBank + loc.matGroup;
-}
-
-BackingStore::MatGroupCounters &
+std::uint16_t *
 BackingStore::groupCounters(const BlockLocation &loc)
 {
-    auto key = matGroupKey(loc);
-    auto it = groupCounters_.find(key);
-    if (it == groupCounters_.end()) {
-        auto counters = std::make_unique<MatGroupCounters>();
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(loc.flatBank(geo_)) *
+            geo_.matGroupsPerBank +
+        loc.matGroup;
+    auto [it, inserted] = groupCounters_.try_emplace(key);
+    if (inserted) {
         // Rows outside the simulated working set are assumed occupied
         // by background data at the configured density.
         auto background = static_cast<std::uint16_t>(
             backgroundDensity_ * static_cast<double>(geo_.matRows));
-        counters->counts.assign(
-            static_cast<std::size_t>(MemoryGeometry::matsPerGroup) *
-                geo_.matCols,
-            background);
-        it = groupCounters_.emplace(key, std::move(counters)).first;
+        it->second.assign(static_cast<std::size_t>(
+                              MemoryGeometry::blocksPerPage) *
+                              bitlinesPerBlock,
+                          background);
     }
-    return *it->second;
-}
-
-const LineData &
-BackingStore::read(Addr lineAddr)
-{
-    BlockLocation loc = map_.decode(lineAddr);
-    return page(loc.pageIndex).blocks[loc.blockInPage];
+    return it->second.data();
 }
 
 BitTransitions
-BackingStore::write(Addr lineAddr, const LineData &data)
+BackingStore::write(StoreLine l, const LineData &data)
 {
-    BlockLocation loc = map_.decode(lineAddr);
-    PageContent &content = page(loc.pageIndex);
-    LineData &block = content.blocks[loc.blockInPage];
+    PageContent &content = *l.page;
+    LineData &block = content.blocks[l.block];
 
     BitTransitions transitions = countTransitions(block, data);
     for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
@@ -114,40 +162,32 @@ BackingStore::write(Addr lineAddr, const LineData &data)
         content.matCounts[mat] =
             static_cast<std::uint16_t>(content.matCounts[mat] + delta);
     }
-    if (trackBitlines_)
-        applyBitlineDeltas(loc, block, data);
-    block = data;
-    return transitions;
-}
-
-void
-BackingStore::applyBitlineDeltas(const BlockLocation &loc,
-                                 const LineData &before,
-                                 const LineData &after)
-{
-    auto &counters = groupCounters(loc);
-    const unsigned base = loc.blockInPage * 8;
-    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
-        std::uint8_t changed = before[mat] ^ after[mat];
-        while (changed) {
-            unsigned bit =
-                static_cast<unsigned>(std::countr_zero(changed));
-            changed = static_cast<std::uint8_t>(changed &
-                                                (changed - 1));
-            auto &count =
-                counters.counts[mat * geo_.matCols + base + bit];
-            if (after[mat] & (1u << bit))
-                ++count;
-            else
-                --count;
+    if (content.bitlines) {
+        std::uint16_t *counts =
+            content.bitlines + l.block * bitlinesPerBlock;
+        for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup;
+             ++mat) {
+            std::uint8_t changed = block[mat] ^ data[mat];
+            while (changed) {
+                unsigned bit =
+                    static_cast<unsigned>(std::countr_zero(changed));
+                changed = static_cast<std::uint8_t>(changed &
+                                                    (changed - 1));
+                if (data[mat] & (1u << bit))
+                    ++counts[mat * 8 + bit];
+                else
+                    --counts[mat * 8 + bit];
+            }
         }
     }
+    block = data;
+    return transitions;
 }
 
 bool
 BackingStore::pageResident(std::uint64_t pageIndex) const
 {
-    return pages_.count(pageIndex) != 0;
+    return findPage(pageIndex) != nullptr;
 }
 
 std::uint16_t
@@ -155,51 +195,38 @@ BackingStore::matLrsCount(std::uint64_t pageIndex, unsigned mat)
 {
     ladder_assert(mat < MemoryGeometry::matsPerGroup,
                   "mat %u out of range", mat);
-    return page(pageIndex).matCounts[mat];
+    return line(pageIndex * MemoryGeometry::pageBytes)
+        .page->matCounts[mat];
 }
 
 std::uint16_t
-BackingStore::maxMatLrsCount(std::uint64_t pageIndex)
+BackingStore::maxMatLrsCount(StoreLine l) const
 {
-    const auto &counts = page(pageIndex).matCounts;
+    const auto &counts = l.page->matCounts;
     return *std::max_element(counts.begin(), counts.end());
 }
 
 std::uint16_t
-BackingStore::maxSelectedBitlineLrs(Addr lineAddr)
+BackingStore::maxSelectedBitlineLrs(StoreLine l) const
 {
     ladder_assert(trackBitlines_,
                   "bitline tracking disabled in backing store");
-    BlockLocation loc = map_.decode(lineAddr);
-    // Materialize the page so the counters reflect its content.
-    page(loc.pageIndex);
-    auto &counters = groupCounters(loc);
-    const unsigned base = loc.blockInPage * 8;
+    const std::uint16_t *counts =
+        l.page->bitlines + l.block * bitlinesPerBlock;
     std::uint16_t best = 0;
-    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat)
-        for (unsigned bit = 0; bit < 8; ++bit)
-            best = std::max(
-                best, counters.counts[mat * geo_.matCols + base + bit]);
+    for (unsigned i = 0; i < bitlinesPerBlock; ++i)
+        best = std::max(best, counts[i]);
     return best;
 }
 
-bool
-BackingStore::flipped(Addr lineAddr)
-{
-    BlockLocation loc = map_.decode(lineAddr);
-    return (page(loc.pageIndex).flippedMask >> loc.blockInPage) & 1;
-}
-
 void
-BackingStore::setFlipped(Addr lineAddr, bool value)
+BackingStore::setFlipped(StoreLine l, bool value)
 {
-    BlockLocation loc = map_.decode(lineAddr);
-    std::uint64_t bit = 1ull << loc.blockInPage;
-    auto &mask = page(loc.pageIndex).flippedMask;
+    const std::uint64_t bit = 1ull << l.block;
     if (value)
-        mask |= bit;
+        l.page->flippedMask |= bit;
     else
-        mask &= ~bit;
+        l.page->flippedMask &= ~bit;
 }
 
 } // namespace ladder

@@ -15,6 +15,21 @@
  *
  * Pages are materialized lazily; an installable initializer provides
  * first-touch content so workloads see realistic resident data.
+ *
+ * Layout. Resident pages live in a std::deque arena (their addresses
+ * never change) and are found through an open-addressed index of page
+ * pointers with linear probing, kept at most half full; each page
+ * carries its own number as the key. Each page points at its mat group's bitline counters, which
+ * are stored block-major, [block][mat][bit]: block b of every page in
+ * the group selects bitlines [8b, 8b+7] in each of the 64 mats, so those
+ * 512 counters are contiguous and a write's worst-bitline scan is one
+ * linear max. The address map always places 64 blocks x 8 bitlines on
+ * a wordline, so the layout assumes 512-column mats (the resolver
+ * rejects any other geom.mat-cols).
+ *
+ * Callers on a hot path resolve an address once with line() and pass
+ * the StoreLine handle to the read/write/counter calls; the address
+ * overloads are one-line wrappers that resolve on every call.
  */
 
 #ifndef LADDER_MEM_BACKING_STORE_HH
@@ -22,8 +37,8 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -38,10 +53,29 @@ namespace ladder
 struct PageContent
 {
     std::array<LineData, MemoryGeometry::blocksPerPage> blocks{};
-    /** C_j: LRS count of byte column j across the page's blocks. */
-    std::array<std::uint16_t, MemoryGeometry::matsPerGroup> matCounts{};
+    /**
+     * Global page number, the store's index key. It sits beside the
+     * flags and counter pointer so an index probe touches a cache line
+     * the access reads anyway.
+     */
+    std::uint64_t pageIndex = 0;
     /** Flip-N-Write inversion flag per block. */
     std::uint64_t flippedMask = 0;
+    /**
+     * The page's mat-group bitline counters ([block][mat][bit]), or
+     * nullptr when the store does not track bitlines. Set when the
+     * page is materialized.
+     */
+    std::uint16_t *bitlines = nullptr;
+    /** C_j: LRS count of byte column j across the page's blocks. */
+    std::array<std::uint16_t, MemoryGeometry::matsPerGroup> matCounts{};
+};
+
+/** A resolved block: its resident page and slot within the page. */
+struct StoreLine
+{
+    PageContent *page = nullptr;
+    unsigned block = 0;
 };
 
 /** Sparse, content-true ReRAM state. */
@@ -71,15 +105,31 @@ class BackingStore
     /** Install the first-touch content generator (optional). */
     void setPageInitializer(PageInitializer init);
 
-    /** Read a block's payload (materializes the page). */
-    const LineData &read(Addr lineAddr);
+    /**
+     * Resolve a block address to its page (materializing it) and slot.
+     * The handle stays valid for the store's lifetime.
+     */
+    StoreLine line(Addr lineAddr);
+
+    /** A block's payload. */
+    const LineData &
+    read(StoreLine l) const
+    {
+        return l.page->blocks[l.block];
+    }
+    const LineData &read(Addr lineAddr) { return read(line(lineAddr)); }
 
     /**
      * Write a block's payload, updating all LRS statistics.
      *
      * @return The bit transitions performed (for energy/FNW stats).
      */
-    BitTransitions write(Addr lineAddr, const LineData &data);
+    BitTransitions write(StoreLine l, const LineData &data);
+    BitTransitions
+    write(Addr lineAddr, const LineData &data)
+    {
+        return write(line(lineAddr), data);
+    }
 
     /** Whether a page has been materialized. */
     bool pageResident(std::uint64_t pageIndex) const;
@@ -87,19 +137,39 @@ class BackingStore
     /** Exact C_j for one mat of a page. */
     std::uint16_t matLrsCount(std::uint64_t pageIndex, unsigned mat);
 
-    /** Exact C_w = max_j C_j for a page. */
-    std::uint16_t maxMatLrsCount(std::uint64_t pageIndex);
+    /** Exact C_w = max_j C_j for the block's page. */
+    std::uint16_t maxMatLrsCount(StoreLine l) const;
+    std::uint16_t
+    maxMatLrsCount(std::uint64_t pageIndex)
+    {
+        return maxMatLrsCount(line(pageIndex * MemoryGeometry::pageBytes));
+    }
 
     /**
      * Worst per-bitline LRS count among the 512 bitline instances a
      * block write selects (8 bitlines in each of 64 mats).
      * Requires trackBitlines.
      */
-    std::uint16_t maxSelectedBitlineLrs(Addr lineAddr);
+    std::uint16_t maxSelectedBitlineLrs(StoreLine l) const;
+    std::uint16_t
+    maxSelectedBitlineLrs(Addr lineAddr)
+    {
+        return maxSelectedBitlineLrs(line(lineAddr));
+    }
 
     /** FNW flag for a block. */
-    bool flipped(Addr lineAddr);
-    void setFlipped(Addr lineAddr, bool value);
+    bool
+    flipped(StoreLine l) const
+    {
+        return (l.page->flippedMask >> l.block) & 1;
+    }
+    bool flipped(Addr lineAddr) { return flipped(line(lineAddr)); }
+    void setFlipped(StoreLine l, bool value);
+    void
+    setFlipped(Addr lineAddr, bool value)
+    {
+        setFlipped(line(lineAddr), value);
+    }
 
     /** Number of materialized pages. */
     std::size_t residentPages() const { return pages_.size(); }
@@ -108,27 +178,24 @@ class BackingStore
     const MemoryGeometry &geometry() const { return geo_; }
 
   private:
-    /** Per-mat-group bitline LRS counters (64 mats x cols bitlines). */
-    struct MatGroupCounters
-    {
-        std::vector<std::uint16_t> counts;
-    };
-
     MemoryGeometry geo_;
     AddressMap map_;
+    std::uint64_t totalPages_;
     bool trackBitlines_;
     double backgroundDensity_;
     PageInitializer init_;
-    std::unordered_map<std::uint64_t, PageContent> pages_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<MatGroupCounters>>
+    std::deque<PageContent> pages_;
+    std::vector<PageContent *> index_; //!< power-of-two size; null = empty
+    unsigned indexShift_;          //!< 64 - log2(index_.size())
+    /** Bitline counters per mat group, [block][mat][bit] each. */
+    std::unordered_map<std::uint64_t, std::vector<std::uint16_t>>
         groupCounters_;
 
-    PageContent &page(std::uint64_t pageIndex);
-    std::uint64_t matGroupKey(const BlockLocation &loc) const;
-    MatGroupCounters &groupCounters(const BlockLocation &loc);
-    void applyBitlineDeltas(const BlockLocation &loc,
-                            const LineData &before,
-                            const LineData &after);
+    std::size_t probeStart(std::uint64_t pageIndex) const;
+    PageContent *findPage(std::uint64_t pageIndex) const;
+    void insertIndex(PageContent *content);
+    PageContent &materialize(Addr lineAddr);
+    std::uint16_t *groupCounters(const BlockLocation &loc);
 };
 
 } // namespace ladder

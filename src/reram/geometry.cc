@@ -20,8 +20,7 @@ namespace ladder
 namespace
 {
 
-/** Mat groups interleaved as concurrent subarray slots per bank. */
-constexpr unsigned subarraySlots = 4;
+constexpr unsigned subarraySlots = MemoryGeometry::subarraySlots;
 constexpr unsigned wordlineShear = 31;
 
 } // anonymous namespace

@@ -38,6 +38,13 @@ struct MemoryGeometry
     static constexpr unsigned blocksPerPage = 64;
     /** Bytes per page. */
     static constexpr unsigned pageBytes = blocksPerPage * lineBytes;
+    /** Bitlines per mat: every block of a page owns 8 per wordline. */
+    static constexpr unsigned supportedMatCols = blocksPerPage * 8;
+    /**
+     * Mat groups interleave as this many concurrent subarray slots per
+     * bank, so matGroupsPerBank must be a multiple of it.
+     */
+    static constexpr unsigned subarraySlots = 4;
 
     /** Pages stored by one mat group (one page per wordline). */
     unsigned pagesPerMatGroup() const { return matRows; }

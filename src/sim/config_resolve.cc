@@ -255,13 +255,13 @@ registerExperimentParams(Registry &reg)
                          "Chips per rank", 1, 64);
     reg.addInt<unsigned>(
         "geom.mat-groups", LADDER_FIELD(system.geometry.matGroupsPerBank),
-        "64-mat groups per bank", 1, 1024);
+        "64-mat groups per bank (a multiple of 4)", 1, 1024);
     reg.addInt<unsigned>("geom.mat-rows",
                          LADDER_FIELD(system.geometry.matRows),
                          "Wordlines per mat", 8, 65536);
     reg.addInt<unsigned>("geom.mat-cols",
                          LADDER_FIELD(system.geometry.matCols),
-                         "Bitlines per mat", 8, 65536);
+                         "Bitlines per mat (must be 512)", 8, 65536);
 
     // ---------------------------------------------------------------
     // Crossbar / circuit model
@@ -782,6 +782,7 @@ resolveExperiment(int argc, const char *const *argv,
     }
 
     validateCacheGeometry(out.config.system.caches, "resolved config");
+    validateMemoryGeometry(out.config.system.geometry, "resolved config");
 
     // CLI scheme/workload selections override the sweep spec's lists.
     if (schemesFromCli) {
@@ -814,6 +815,25 @@ validateCacheGeometry(const HierarchyParams &caches,
               params->ways, lineBytes,
               static_cast<std::size_t>(params->ways) * lineBytes);
     }
+}
+
+void
+validateMemoryGeometry(const MemoryGeometry &geo,
+                       const std::string &source)
+{
+    if (geo.matCols != MemoryGeometry::supportedMatCols)
+        fatal("%s: geom.mat-cols=%u is not supported — the address map "
+              "places %u blocks x 8 bitlines on every wordline, so mats "
+              "must have %u columns",
+              source.c_str(), geo.matCols, MemoryGeometry::blocksPerPage,
+              MemoryGeometry::supportedMatCols);
+    if (geo.matGroupsPerBank % MemoryGeometry::subarraySlots != 0)
+        fatal("%s: geom.mat-groups=%u is not a multiple of %u — mat "
+              "groups interleave as %u concurrent subarray slots per "
+              "bank",
+              source.c_str(), geo.matGroupsPerBank,
+              MemoryGeometry::subarraySlots,
+              MemoryGeometry::subarraySlots);
 }
 
 void

@@ -85,6 +85,16 @@ void validateCacheGeometry(const HierarchyParams &caches,
                            const std::string &source);
 
 /**
+ * Reject a memory geometry the model cannot hold: mats must have
+ * MemoryGeometry::supportedMatCols bitlines (the address map places 64
+ * blocks x 8 bitlines on every wordline) and the mat groups per bank
+ * must be a multiple of MemoryGeometry::subarraySlots. Fatal, naming
+ * the offending key; @p source names the layer being checked.
+ */
+void validateMemoryGeometry(const MemoryGeometry &geo,
+                            const std::string &source);
+
+/**
  * Resolve an experiment invocation from @p argv over the @p base
  * defaults. Recognizes the meta keys `config=`, `sweep=`,
  * `scheme[s]=`, `workload[s]=` (CSV lists, validated against the

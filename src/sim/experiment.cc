@@ -145,8 +145,10 @@ cellConfig(SchemeKind scheme, const std::string &workload,
         for (const auto &kv : config.cliAssignments)
             experimentRegistry().set(effective, kv.first, kv.second,
                                      "command line");
-        validateCacheGeometry(effective.system.caches,
-                              "sweep cell " + runDirName(scheme, workload));
+        const std::string source =
+            "sweep cell " + runDirName(scheme, workload);
+        validateCacheGeometry(effective.system.caches, source);
+        validateMemoryGeometry(effective.system.geometry, source);
     }
     return effective;
 }

@@ -170,5 +170,119 @@ TEST(BackingStore, BitlineTrackingCanBeDisabled)
     EXPECT_THROW(store.maxSelectedBitlineLrs(0), std::logic_error);
 }
 
+TEST(BackingStore, HandleAndAddressCallsAgree)
+{
+    MemoryGeometry geo;
+    BackingStore byHandle(geo, true, 0.4);
+    BackingStore byAddress(geo, true, 0.4);
+    auto init = [](std::uint64_t page, PageContent &content) {
+        Rng rng(page + 1);
+        for (auto &block : content.blocks)
+            block = randomLine(rng);
+    };
+    byHandle.setPageInitializer(init);
+    byAddress.setPageInitializer(init);
+    Rng rng(6);
+    for (int i = 0; i < 2000; ++i) {
+        const Addr addr =
+            rng.nextBounded(48) * MemoryGeometry::pageBytes +
+            rng.nextBounded(MemoryGeometry::blocksPerPage) * lineBytes;
+        const LineData data = randomLine(rng);
+        const bool flip = rng.nextBool(0.5);
+
+        const StoreLine line = byHandle.line(addr);
+        EXPECT_EQ(byHandle.read(line), byAddress.read(addr));
+        EXPECT_EQ(byHandle.flipped(line), byAddress.flipped(addr));
+        EXPECT_EQ(byHandle.maxMatLrsCount(line),
+                  byAddress.maxMatLrsCount(addr /
+                                           MemoryGeometry::pageBytes));
+        EXPECT_EQ(byHandle.maxSelectedBitlineLrs(line),
+                  byAddress.maxSelectedBitlineLrs(addr));
+        byHandle.setFlipped(line, flip);
+        byAddress.setFlipped(addr, flip);
+        const BitTransitions a = byHandle.write(line, data);
+        const BitTransitions b = byAddress.write(addr, data);
+        EXPECT_EQ(a.sets, b.sets);
+        EXPECT_EQ(a.resets, b.resets);
+        EXPECT_EQ(byHandle.read(line), data);
+    }
+    EXPECT_EQ(byHandle.residentPages(), byAddress.residentPages());
+}
+
+TEST(BackingStore, SelectedBitlinesMatchBruteForceCount)
+{
+    // Two pages of one mat group plus a page of another group, all
+    // with random first-touch content and then random writes. The
+    // incremental counters must equal a recount over every resident
+    // page of the group plus the background rows.
+    MemoryGeometry geo;
+    const double density = 0.4;
+    BackingStore store(geo, true, density);
+    store.setPageInitializer([](std::uint64_t page, PageContent &c) {
+        Rng rng(page * 31 + 7);
+        for (auto &block : c.blocks)
+            block = randomLine(rng);
+    });
+    AddressMap map(geo);
+    BlockLocation locB = map.decode(0);
+    locB.wordline = (locB.wordline + 5) % geo.matRows;
+    BlockLocation locOther = map.decode(0);
+    locOther.matGroup += 4; // same subarray slot, next group slice
+    const Addr pages[] = {0, map.encode(locB), map.encode(locOther)};
+
+    Rng rng(8);
+    for (int i = 0; i < 300; ++i) {
+        const Addr page = pages[rng.nextBounded(3)];
+        store.write(page + rng.nextBounded(64) * lineBytes,
+                    randomLine(rng));
+    }
+    const auto background =
+        static_cast<unsigned>(density * static_cast<double>(geo.matRows));
+    for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
+        unsigned expect = 0;
+        for (unsigned mat = 0; mat < 64; ++mat) {
+            for (unsigned bit = 0; bit < 8; ++bit) {
+                unsigned count = background;
+                for (Addr page : {pages[0], pages[1]})
+                    count += (store.read(page + b * lineBytes)[mat] >>
+                              bit) & 1;
+                expect = std::max(expect, count);
+            }
+        }
+        EXPECT_EQ(store.maxSelectedBitlineLrs(pages[0] + b * lineBytes),
+                  expect)
+            << "block " << b;
+        EXPECT_EQ(store.maxSelectedBitlineLrs(pages[1] + b * lineBytes),
+                  expect)
+            << "block " << b;
+    }
+}
+
+TEST(BackingStore, PageIndexSurvivesGrowth)
+{
+    // Far more pages than the index's initial 1024 slots, touched in a
+    // scattered order; every page keeps its own content. Bitline
+    // tracking is off: the pages span most mat groups.
+    BackingStore store(MemoryGeometry{}, false, 0.0);
+    const std::uint64_t count = 5000;
+    auto pageOf = [](std::uint64_t i) { return (i * 7919) % 1000003; };
+    for (std::uint64_t i = 0; i < count; ++i) {
+        LineData data{};
+        data[0] = static_cast<std::uint8_t>(i);
+        data[1] = static_cast<std::uint8_t>(i >> 8);
+        store.write(pageOf(i) * MemoryGeometry::pageBytes, data);
+        ASSERT_EQ(store.residentPages(), i + 1);
+    }
+    for (std::uint64_t i = 0; i < count; ++i) {
+        ASSERT_TRUE(store.pageResident(pageOf(i)));
+        const LineData &data =
+            store.read(pageOf(i) * MemoryGeometry::pageBytes);
+        EXPECT_EQ(data[0], static_cast<std::uint8_t>(i));
+        EXPECT_EQ(data[1], static_cast<std::uint8_t>(i >> 8));
+    }
+    EXPECT_FALSE(store.pageResident(pageOf(count)));
+    EXPECT_EQ(store.residentPages(), count);
+}
+
 } // namespace
 } // namespace ladder

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/rng.hh"
 
 namespace ladder
 {
@@ -43,19 +45,6 @@ TEST(EventQueue, ScheduleInIsRelative)
     });
     q.runUntil();
     EXPECT_EQ(seen, 150u);
-}
-
-TEST(EventQueue, DescheduleSkipsEvent)
-{
-    EventQueue q;
-    bool ran = false;
-    EventId id = q.schedule(10, [&]() { ran = true; });
-    q.deschedule(id);
-    EXPECT_TRUE(q.empty());
-    q.runUntil();
-    EXPECT_FALSE(ran);
-    // Double deschedule is safe.
-    q.deschedule(id);
 }
 
 TEST(EventQueue, RunUntilLimit)
@@ -119,6 +108,61 @@ TEST(EventQueue, ZeroDelaySameTick)
     });
     q.runUntil();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, RandomOrderMatchesStableSortedReference)
+{
+    // Every executed event must be the first pending one in a stable
+    // sort by (tick, priority): ties run in insertion order. Callbacks
+    // schedule more events (some at the current tick), and draining in
+    // windows lets freed callback slots be reused by later events.
+    struct Pending
+    {
+        Tick when;
+        int priority;
+        unsigned id;
+    };
+    EventQueue q;
+    Rng rng(17);
+    std::vector<Pending> reference;
+    unsigned nextId = 0, executed = 0, spawned = 0;
+    std::function<void(unsigned)> fire;
+    auto add = [&](Tick when) {
+        const int priority = static_cast<int>(rng.nextBounded(3)) - 1;
+        const unsigned id = nextId++;
+        reference.push_back({when, priority, id});
+        q.schedule(when, [&fire, id]() { fire(id); }, priority);
+    };
+    fire = [&](unsigned id) {
+        std::stable_sort(reference.begin(), reference.end(),
+                         [](const Pending &a, const Pending &b) {
+                             if (a.when != b.when)
+                                 return a.when < b.when;
+                             return a.priority < b.priority;
+                         });
+        ASSERT_FALSE(reference.empty());
+        EXPECT_EQ(reference.front().id, id);
+        EXPECT_EQ(reference.front().when, q.now());
+        reference.erase(reference.begin());
+        ++executed;
+        if (spawned < 2000 && rng.nextBool(0.4)) {
+            for (unsigned n = 1 + rng.nextBounded(2); n > 0; --n, ++spawned)
+                add(q.now() + rng.nextBounded(4));
+        }
+    };
+
+    for (unsigned round = 0; round < 20; ++round) {
+        for (unsigned i = 0; i < 200; ++i)
+            add(q.now() + rng.nextBounded(64));
+        q.runUntil(q.now() + 32);
+        EXPECT_EQ(q.pending(), reference.size());
+    }
+    q.runUntil();
+    EXPECT_TRUE(q.empty());
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(executed, nextId);
+    EXPECT_EQ(q.executed(), nextId);
+    EXPECT_GT(spawned, 100u);
 }
 
 } // namespace

@@ -231,6 +231,20 @@ TEST(ParamRegistry, OutOfRangeIsDiagnosedWithDoc)
     EXPECT_NE(what.find("cache.l3-bytes=100000"), std::string::npos)
         << what;
     EXPECT_NE(what.find("cache.l3-ways=16"), std::string::npos) << what;
+
+    // So is a memory geometry the address map and store cannot hold
+    // (both used to corrupt memory or panic mid-run).
+    for (const char *arg : {"geom.mat-cols=8", "geom.mat-cols=256",
+                            "geom.mat-cols=1024"}) {
+        what = errorOf({arg});
+        EXPECT_NE(what.find(arg), std::string::npos) << what;
+        EXPECT_NE(what.find("512"), std::string::npos) << what;
+    }
+    for (const char *arg : {"geom.mat-groups=2", "geom.mat-groups=6"}) {
+        what = errorOf({arg});
+        EXPECT_NE(what.find(arg), std::string::npos) << what;
+        EXPECT_NE(what.find("multiple of 4"), std::string::npos) << what;
+    }
 }
 
 TEST(ParamRegistry, NonNumericValueIsRejected)
@@ -675,6 +689,25 @@ TEST(ParamRegistry, SweepCellsRejectBadShapes)
         what = e.what();
     }
     EXPECT_NE(what.find("cache.l3-ways=12"), std::string::npos) << what;
+
+    // Likewise a cell whose memory geometry the model cannot hold.
+    const std::pair<const char *, const char *> geometries[] = {
+        {"{\"geom.mat-cols\": 256}", "geom.mat-cols=256"},
+        {"{\"geom.mat-groups\": 6}", "geom.mat-groups=6"}};
+    for (const auto &[params, key] : geometries) {
+        fs::path geom = tempFile(
+            "c11.json",
+            std::string("{\"cells\": [{\"params\": ") + params + "}]}");
+        std::string geomArg = "sweep=" + geom.string();
+        ResolvedExperiment cell = resolve({geomArg.c_str()});
+        what.clear();
+        try {
+            runOne(SchemeKind::Baseline, "lbm", cell.config);
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
 }
 
 TEST(ParamRegistry, SweepCellsPrecedenceAcrossTheFullStack)
