@@ -136,20 +136,6 @@ BM_PopcountLineScalar(benchmark::State &state)
 BENCHMARK(BM_PopcountLineScalar);
 
 void
-BM_PopcountLineAvx2(benchmark::State &state)
-{
-    if (!bitopsHaveAvx2()) {
-        state.SkipWithError("AVX2 unavailable on this host");
-        return;
-    }
-    Rng rng(1);
-    LineData line = randomLine(rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(popcountLineAvx2(line));
-}
-BENCHMARK(BM_PopcountLineAvx2);
-
-void
 BM_CountTransitions(benchmark::State &state)
 {
     Rng rng(10);
@@ -219,6 +205,40 @@ BM_BackingStoreWrite(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BackingStoreWrite);
+
+/**
+ * First touch of a page: the initializer copies one of 16 random pages,
+ * then the store folds it into the mat and bitline counters. A fresh
+ * store replaces the full one every 4096 pages, outside the timing.
+ */
+void
+BM_BackingStoreMaterialize(benchmark::State &state)
+{
+    Rng rng(13);
+    std::vector<PageContent> pool(16);
+    for (auto &page : pool)
+        for (auto &block : page.blocks)
+            block = randomLine(rng);
+    auto init = [&pool](std::uint64_t page, PageContent &c) {
+        c.blocks = pool[page % pool.size()].blocks;
+    };
+    auto store = std::make_unique<BackingStore>(MemoryGeometry{}, true, 0.0);
+    store->setPageInitializer(init);
+    std::uint64_t page = 0;
+    for (auto _ : state) {
+        if (page == 4096) {
+            state.PauseTiming();
+            store = std::make_unique<BackingStore>(MemoryGeometry{}, true,
+                                                   0.0);
+            store->setPageInitializer(init);
+            page = 0;
+            state.ResumeTiming();
+        }
+        benchmark::DoNotOptimize(
+            store->read(page++ * MemoryGeometry::pageBytes));
+    }
+}
+BENCHMARK(BM_BackingStoreMaterialize);
 
 /**
  * The store work of one data-write dispatch: resolve the line once,

@@ -1,16 +1,8 @@
 #include "bitops.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "log.hh"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define LADDER_BITOPS_AVX2 1
-#include <immintrin.h>
-#else
-#define LADDER_BITOPS_AVX2 0
-#endif
 
 namespace ladder
 {
@@ -18,208 +10,50 @@ namespace ladder
 namespace
 {
 
-/** Load the 8-byte word starting at line byte @p i. */
+/** Sum of the 8 byte lanes of @p lanes, widened so any values fit. */
+inline unsigned
+sumLanes(std::uint64_t lanes)
+{
+    lanes = (lanes & 0x00ff00ff00ff00ffull) +
+            ((lanes >> 8) & 0x00ff00ff00ff00ffull);
+    return static_cast<unsigned>((lanes * 0x0001000100010001ull) >> 48);
+}
+
+/** Lane-wise maximum of two words whose byte lanes are all below 128. */
 inline std::uint64_t
-loadWord(const std::uint8_t *p)
+laneMax(std::uint64_t a, std::uint64_t b)
 {
-    std::uint64_t word;
-    std::memcpy(&word, p, sizeof(word));
-    return word;
+    constexpr std::uint64_t high = 0x8080808080808080ull;
+    // A lane's high bit survives the subtraction iff a >= b there.
+    const std::uint64_t aWins = ((((a | high) - b) & high) >> 7) * 0xff;
+    return (a & aWins) | (b & ~aWins);
 }
-
-unsigned
-popcountLineWords(const LineData &line)
-{
-    unsigned total = 0;
-    for (size_t i = 0; i < lineBytes; i += 8)
-        total += static_cast<unsigned>(
-            std::popcount(loadWord(line.data() + i)));
-    return total;
-}
-
-/**
- * Word-lane popcount over [first, last): whole 8-byte words with the
- * partial head/tail words masked down to the in-range bytes. On a
- * little-endian target byte k of a word loaded from line offset i is
- * line byte i+k, so bytes below `first` are the word's *low* bytes.
- */
-unsigned
-popcountRangeWords(const LineData &line, size_t first, size_t last)
-{
-    if (first >= last)
-        return 0;
-    const size_t lo = first & ~size_t{7};
-    const size_t hi = (last + 7) & ~size_t{7};
-    unsigned total = 0;
-    for (size_t i = lo; i < hi; i += 8) {
-        std::uint64_t word = loadWord(line.data() + i);
-        if (i < first)
-            word &= ~0ull << ((first - i) * 8);
-        if (i + 8 > last)
-            word &= ~0ull >> ((i + 8 - last) * 8);
-        total += static_cast<unsigned>(std::popcount(word));
-    }
-    return total;
-}
-
-unsigned
-hammingLineWords(const LineData &a, const LineData &b)
-{
-    unsigned total = 0;
-    for (size_t i = 0; i < lineBytes; i += 8)
-        total += static_cast<unsigned>(
-            std::popcount(loadWord(a.data() + i) ^
-                          loadWord(b.data() + i)));
-    return total;
-}
-
-BitTransitions
-countTransitionsWords(const LineData &before, const LineData &after)
-{
-    BitTransitions t;
-    for (size_t i = 0; i < lineBytes; i += 8) {
-        std::uint64_t wb = loadWord(before.data() + i);
-        std::uint64_t wa = loadWord(after.data() + i);
-        t.resets += static_cast<unsigned>(std::popcount(wb & ~wa));
-        t.sets += static_cast<unsigned>(std::popcount(~wb & wa));
-    }
-    return t;
-}
-
-#if LADDER_BITOPS_AVX2
-
-/** Per-byte popcounts of a 32-byte vector via the 4-bit LUT trick. */
-__attribute__((target("avx2"))) inline __m256i
-bytePopcounts(__m256i v)
-{
-    const __m256i lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i nibble = _mm256_set1_epi8(0x0f);
-    __m256i lo = _mm256_and_si256(v, nibble);
-    __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble);
-    return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                           _mm256_shuffle_epi8(lut, hi));
-}
-
-/**
- * Horizontal sum of per-byte counts. Each byte holds at most 16 (two
- * 8-bit popcounts added), so psadbw against zero cannot overflow.
- */
-__attribute__((target("avx2"))) inline unsigned
-sumBytes(__m256i counts)
-{
-    __m256i sums = _mm256_sad_epu8(counts, _mm256_setzero_si256());
-    return static_cast<unsigned>(
-        _mm256_extract_epi64(sums, 0) + _mm256_extract_epi64(sums, 1) +
-        _mm256_extract_epi64(sums, 2) + _mm256_extract_epi64(sums, 3));
-}
-
-__attribute__((target("avx2"))) inline __m256i
-loadHalf(const std::uint8_t *p)
-{
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
-}
-
-#endif // LADDER_BITOPS_AVX2
 
 } // namespace
 
-bool
-bitopsHaveAvx2()
-{
-#if LADDER_BITOPS_AVX2
-    static const bool have = [] {
-        if (std::getenv("LADDER_NO_AVX2") != nullptr)
-            return false;
-        return __builtin_cpu_supports("avx2") != 0;
-    }();
-    return have;
-#else
-    return false;
-#endif
-}
-
-#if LADDER_BITOPS_AVX2
-
-__attribute__((target("avx2"))) unsigned
-popcountLineAvx2(const LineData &line)
-{
-    __m256i a = bytePopcounts(loadHalf(line.data()));
-    __m256i b = bytePopcounts(loadHalf(line.data() + 32));
-    return sumBytes(_mm256_add_epi8(a, b));
-}
-
-__attribute__((target("avx2"))) unsigned
-hammingLineAvx2(const LineData &a, const LineData &b)
-{
-    __m256i x = _mm256_xor_si256(loadHalf(a.data()), loadHalf(b.data()));
-    __m256i y = _mm256_xor_si256(loadHalf(a.data() + 32),
-                                 loadHalf(b.data() + 32));
-    return sumBytes(
-        _mm256_add_epi8(bytePopcounts(x), bytePopcounts(y)));
-}
-
-__attribute__((target("avx2"))) BitTransitions
-countTransitionsAvx2(const LineData &before, const LineData &after)
-{
-    __m256i b0 = loadHalf(before.data());
-    __m256i b1 = loadHalf(before.data() + 32);
-    __m256i a0 = loadHalf(after.data());
-    __m256i a1 = loadHalf(after.data() + 32);
-    // andnot(x, y) = ~x & y: resets are 1->0 bits, sets are 0->1.
-    __m256i resets = _mm256_add_epi8(
-        bytePopcounts(_mm256_andnot_si256(a0, b0)),
-        bytePopcounts(_mm256_andnot_si256(a1, b1)));
-    __m256i sets = _mm256_add_epi8(
-        bytePopcounts(_mm256_andnot_si256(b0, a0)),
-        bytePopcounts(_mm256_andnot_si256(b1, a1)));
-    BitTransitions t;
-    t.resets = sumBytes(resets);
-    t.sets = sumBytes(sets);
-    return t;
-}
-
-#else // !LADDER_BITOPS_AVX2
-
-// Non-x86 builds keep the symbols (never selected: bitopsHaveAvx2()
-// is constant false there) so callers and tests link unchanged.
-unsigned
-popcountLineAvx2(const LineData &line)
-{
-    return popcountLineWords(line);
-}
-
-unsigned
-hammingLineAvx2(const LineData &a, const LineData &b)
-{
-    return hammingLineWords(a, b);
-}
-
-BitTransitions
-countTransitionsAvx2(const LineData &before, const LineData &after)
-{
-    return countTransitionsWords(before, after);
-}
-
-#endif // LADDER_BITOPS_AVX2
+// The line counts accumulate byte lanes over the line's 8 words (a
+// lane reaches at most 8 x 8 = 64) and widen once at the end.
 
 unsigned
 popcountLine(const LineData &line)
 {
-    if (bitopsHaveAvx2())
-        return popcountLineAvx2(line);
-    return popcountLineWords(line);
+    std::uint64_t lanes = 0;
+    for (unsigned w = 0; w < lineBytes / 8; ++w)
+        lanes += byteCounts(lineWord(line, w));
+    return sumLanes(lanes);
 }
 
-unsigned
-popcountRange(const LineData &line, size_t first, size_t last)
+BitTransitions
+countTransitions(const LineData &before, const LineData &after)
 {
-    ladder_assert(first <= last && last <= lineBytes,
-                  "range [%zu, %zu) out of bounds", first, last);
-    if constexpr (std::endian::native == std::endian::little)
-        return popcountRangeWords(line, first, last);
-    return popcountRangeScalar(line, first, last);
+    std::uint64_t resets = 0, sets = 0;
+    for (unsigned w = 0; w < lineBytes / 8; ++w) {
+        const std::uint64_t b = lineWord(before, w);
+        const std::uint64_t a = lineWord(after, w);
+        resets += byteCounts(b & ~a);
+        sets += byteCounts(~b & a);
+    }
+    return {sumLanes(resets), sumLanes(sets)};
 }
 
 unsigned
@@ -227,58 +61,30 @@ maxBytePopcount(const LineData &line, size_t first, size_t last)
 {
     ladder_assert(first <= last && last <= lineBytes,
                   "range [%zu, %zu) out of bounds", first, last);
-    unsigned best = 0;
-    for (size_t i = first; i < last; ++i) {
-        unsigned pc = popcount8(line[i]);
-        if (pc > best)
-            best = pc;
+    // Bytes outside the range are masked to zero, which never raises
+    // the maximum.
+    std::uint64_t best = 0;
+    for (size_t i = first & ~size_t{7}; i < last; i += 8) {
+        std::uint64_t word = lineWord(line, static_cast<unsigned>(i / 8));
+        if (i < first)
+            word &= ~0ull << ((first - i) * 8);
+        if (i + 8 > last)
+            word &= ~0ull >> ((i + 8 - last) * 8);
+        best = laneMax(best, byteCounts(word));
     }
-    return best;
-}
-
-unsigned
-hammingLine(const LineData &a, const LineData &b)
-{
-    if (bitopsHaveAvx2())
-        return hammingLineAvx2(a, b);
-    return hammingLineWords(a, b);
-}
-
-BitTransitions
-countTransitions(const LineData &before, const LineData &after)
-{
-    if (bitopsHaveAvx2())
-        return countTransitionsAvx2(before, after);
-    return countTransitionsWords(before, after);
+    // Fold the upper lanes down onto lane 0.
+    best = laneMax(best, best >> 32);
+    best = laneMax(best, best >> 16);
+    best = laneMax(best, best >> 8);
+    return static_cast<unsigned>(best & 0xff);
 }
 
 unsigned
 popcountLineScalar(const LineData &line)
 {
     unsigned total = 0;
-    for (size_t i = 0; i < lineBytes; ++i)
-        total += popcount8(line[i]);
-    return total;
-}
-
-unsigned
-popcountRangeScalar(const LineData &line, size_t first, size_t last)
-{
-    ladder_assert(first <= last && last <= lineBytes,
-                  "range [%zu, %zu) out of bounds", first, last);
-    unsigned total = 0;
-    for (size_t i = first; i < last; ++i)
-        total += popcount8(line[i]);
-    return total;
-}
-
-unsigned
-hammingLineScalar(const LineData &a, const LineData &b)
-{
-    unsigned total = 0;
-    for (size_t i = 0; i < lineBytes; ++i)
-        total += popcount8(
-            static_cast<std::uint8_t>(a[i] ^ b[i]));
+    for (std::uint8_t byte : line)
+        total += static_cast<unsigned>(std::popcount(byte));
     return total;
 }
 
@@ -287,10 +93,10 @@ countTransitionsScalar(const LineData &before, const LineData &after)
 {
     BitTransitions t;
     for (size_t i = 0; i < lineBytes; ++i) {
-        t.resets += popcount8(
-            static_cast<std::uint8_t>(before[i] & ~after[i]));
-        t.sets += popcount8(
-            static_cast<std::uint8_t>(~before[i] & after[i]));
+        t.resets += static_cast<unsigned>(
+            std::popcount(static_cast<std::uint8_t>(before[i] & ~after[i])));
+        t.sets += static_cast<unsigned>(
+            std::popcount(static_cast<std::uint8_t>(~before[i] & after[i])));
     }
     return t;
 }

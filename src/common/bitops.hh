@@ -4,24 +4,27 @@
  * at byte/line granularity, per-byte maxima, and the bit-level rotation
  * primitive used by the intra-line shifting optimization (paper §4.1).
  *
- * The line-granularity counting kernels (popcountLine, popcountRange,
- * hammingLine, countTransitions) are the content-scan hot path of the
- * write pipeline: every write performs several of them. Each has three
- * implementations:
+ * Every counter here — and the backing store's mat counters — is built
+ * on one header-inline kernel, byteCounts(), which returns the popcount
+ * of each byte of a 64-bit word in that byte's own lane. It is the
+ * software form of the paper's LRS-metadata update module ("64 parallel
+ * per-byte popcounts"): the store sums lanes per mat, popcountLine and
+ * countTransitions sum all lanes, maxBytePopcount takes their maximum.
  *
- *  - a byte-wise *scalar reference* (`...Scalar`), kept as the
- *    semantic specification and used by the property tests;
- *  - a portable uint64-lane version (`std::popcount` over 8-byte
- *    words, partial words masked at unaligned range endpoints);
- *  - an AVX2 kernel (nibble-LUT `pshufb` byte popcount + `psadbw`
- *    horizontal sum) selected by *runtime* dispatch on x86-64, so one
- *    binary runs everywhere. Set LADDER_NO_AVX2=1 to pin the portable
- *    path (e.g. when bisecting a vectorization bug).
+ * Why SWAR (SIMD within a register) and not the popcnt instruction or
+ * SIMD vector kernels: the build targets baseline x86-64, where
+ * std::popcount is an out-of-line libgcc call. A `-mpopcnt` build
+ * raises SIGILL on a host without popcnt, and a flag in the top-level
+ * build does not reach projects that compile src/ with their own CMake
+ * files. A target clone or a vector kernel
+ * needs a runtime CPU check that picks between two paths which must
+ * then be kept in agreement. The SWAR count is a dozen plain ALU
+ * operations per word, inlines into every caller, and runs on any
+ * 64-bit host.
  *
- * All three return identical results for all inputs — they count set
- * bits, so there is no floating-point reassociation to worry about —
- * and the equivalence is enforced by an exhaustive sweep in
- * test_bitops (run under ASan/UBSan in CI).
+ * The byte-wise `...Scalar` functions count bits independently of
+ * byteCounts() and are the oracle the property tests check the kernels
+ * against.
  */
 
 #ifndef LADDER_COMMON_BITOPS_HH
@@ -31,6 +34,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
 
 #include "types.hh"
 
@@ -40,31 +44,44 @@ namespace ladder
 /** A 64-byte memory line payload. */
 using LineData = std::array<std::uint8_t, lineBytes>;
 
+static_assert(std::endian::native == std::endian::little,
+              "the byte-lane kernels assume line byte k is lane k of "
+              "the word that holds it");
+
+/** Word @p w (0-7) of a line: bytes 8w..8w+7, byte 8w+k in lane k. */
+inline std::uint64_t
+lineWord(const LineData &line, unsigned w)
+{
+    std::uint64_t word;
+    std::memcpy(&word, line.data() + w * 8, sizeof(word));
+    return word;
+}
+
+/**
+ * Popcount of each byte of @p x, left in that byte's lane (each lane
+ * holds 0-8). Multiplying by 0x0101010101010101 and shifting right by
+ * 56 sums the lanes into the word's popcount.
+ */
+inline std::uint64_t
+byteCounts(std::uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    return (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+}
+
 /** Number of set bits in one byte. */
 inline unsigned
 popcount8(std::uint8_t v)
 {
-    return static_cast<unsigned>(std::popcount(v));
+    return static_cast<unsigned>(byteCounts(v));
 }
-
-/**
- * Whether the AVX2 kernels are compiled in *and* selected at runtime
- * (CPU support present, LADDER_NO_AVX2 unset). Decided once per
- * process, before the first counting call.
- */
-bool bitopsHaveAvx2();
 
 /** Number of set bits in an entire 64-byte line. */
 unsigned popcountLine(const LineData &line);
 
-/** Number of set bits in a [first, last) byte range of a line. */
-unsigned popcountRange(const LineData &line, size_t first, size_t last);
-
 /** Maximum per-byte popcount over a [first, last) byte range. */
 unsigned maxBytePopcount(const LineData &line, size_t first, size_t last);
-
-/** Number of differing bits between two lines (Hamming distance). */
-unsigned hammingLine(const LineData &a, const LineData &b);
 
 /**
  * Number of 1->0 transitions (RESETs) and 0->1 transitions (SETs) needed
@@ -79,27 +96,11 @@ struct BitTransitions
 BitTransitions countTransitions(const LineData &before,
                                 const LineData &after);
 
-// --------------------------------------------------------------------
-// Scalar reference implementations (the specification the dispatched
-// kernels are tested against; byte-at-a-time, no word tricks).
-// --------------------------------------------------------------------
-
+// Byte-wise references: the specification the kernels above are
+// tested against, counting each byte with std::popcount.
 unsigned popcountLineScalar(const LineData &line);
-unsigned popcountRangeScalar(const LineData &line, size_t first,
-                             size_t last);
-unsigned hammingLineScalar(const LineData &a, const LineData &b);
 BitTransitions countTransitionsScalar(const LineData &before,
                                       const LineData &after);
-
-// --------------------------------------------------------------------
-// AVX2 kernels (valid to call only when bitopsHaveAvx2(); exposed so
-// the equivalence tests can pin the vector path explicitly).
-// --------------------------------------------------------------------
-
-unsigned popcountLineAvx2(const LineData &line);
-unsigned hammingLineAvx2(const LineData &a, const LineData &b);
-BitTransitions countTransitionsAvx2(const LineData &before,
-                                    const LineData &after);
 
 /** Bitwise NOT of an entire line. */
 LineData invertLine(const LineData &line);

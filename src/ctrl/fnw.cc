@@ -25,8 +25,9 @@ fnwDecide(const LineData &stored, const LineData &data, FnwMode mode)
     bool wantFlip = flipCost < plainCost;
     if (wantFlip && mode == FnwMode::Constrained) {
         // The counting constraint: the written variant must not hold
-        // more '1's than the unflipped data.
-        if (popcountLine(inverted) > popcountLine(data)) {
+        // more '1's than the unflipped data. The inverted line holds
+        // 512 - ones(data), so it has more iff ones(data) < 256.
+        if (popcountLine(data) < lineBytes * 4) {
             wantFlip = false;
             out.flipCancelled = true;
         }

@@ -14,6 +14,10 @@ namespace
 constexpr unsigned initialIndexLog2 = 10;
 /** Bitline counters one block selects (8 in each of 64 mats). */
 constexpr unsigned bitlinesPerBlock = MemoryGeometry::matsPerGroup * 8;
+static_assert(MemoryGeometry::matsPerGroup == lineBytes,
+              "a block holds one byte per mat");
+/** The even byte lanes of a word, each widened to 16 bits. */
+constexpr std::uint64_t evenLanes = 0x00ff00ff00ff00ffull;
 
 } // anonymous namespace
 
@@ -98,12 +102,22 @@ BackingStore::materialize(Addr lineAddr)
         init_(loc.pageIndex, content);
     content.pageIndex = loc.pageIndex;
     insertIndex(&content);
-    // Establish the mat counters from the initial content.
-    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
-        unsigned count = 0;
-        for (const auto &block : content.blocks)
-            count += popcount8(block[mat]);
-        content.matCounts[mat] = static_cast<std::uint16_t>(count);
+    // Establish the mat counters from the initial content. Lane k of
+    // word w counts mat 8w+k; a mat's sum over 64 blocks reaches 512,
+    // so the even and odd lanes are summed apart in 16-bit lanes.
+    for (unsigned w = 0; w < lineBytes / 8; ++w) {
+        std::uint64_t even = 0, odd = 0;
+        for (const auto &block : content.blocks) {
+            const std::uint64_t counts = byteCounts(lineWord(block, w));
+            even += counts & evenLanes;
+            odd += (counts >> 8) & evenLanes;
+        }
+        for (unsigned k = 0; k < 4; ++k) {
+            content.matCounts[w * 8 + 2 * k] =
+                static_cast<std::uint16_t>(even >> (16 * k));
+            content.matCounts[w * 8 + 2 * k + 1] =
+                static_cast<std::uint16_t>(odd >> (16 * k));
+        }
     }
     if (trackBitlines_) {
         // Fold the initial content into the bitline counters.
@@ -156,11 +170,15 @@ BackingStore::write(StoreLine l, const LineData &data)
     LineData &block = content.blocks[l.block];
 
     BitTransitions transitions = countTransitions(block, data);
-    for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup; ++mat) {
-        int delta = static_cast<int>(popcount8(data[mat])) -
-                    static_cast<int>(popcount8(block[mat]));
-        content.matCounts[mat] =
-            static_cast<std::uint16_t>(content.matCounts[mat] + delta);
+    for (unsigned w = 0; w < lineBytes / 8; ++w) {
+        const std::uint64_t added = byteCounts(lineWord(data, w));
+        const std::uint64_t removed = byteCounts(lineWord(block, w));
+        for (unsigned k = 0; k < 8; ++k) {
+            std::uint16_t &count = content.matCounts[w * 8 + k];
+            count = static_cast<std::uint16_t>(
+                count + ((added >> (8 * k)) & 0xff) -
+                ((removed >> (8 * k)) & 0xff));
+        }
     }
     if (content.bitlines) {
         std::uint16_t *counts =

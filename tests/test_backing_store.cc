@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
 #include "common/rng.hh"
 #include "mem/backing_store.hh"
 
@@ -48,26 +52,56 @@ TEST(BackingStore, PageInitializerRuns)
     EXPECT_FALSE(store.pageResident(4));
 }
 
+/** C_j of a page recounted byte by byte from its blocks. */
+unsigned
+recountMat(BackingStore &store, std::uint64_t page, unsigned mat)
+{
+    const Addr base = page * MemoryGeometry::pageBytes;
+    unsigned count = 0;
+    for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b)
+        count += static_cast<unsigned>(
+            std::popcount(store.read(base + b * lineBytes)[mat]));
+    return count;
+}
+
 TEST(BackingStore, MatCountsTrackContent)
 {
-    BackingStore store(MemoryGeometry{}, true, 0.0);
-    Rng rng(2);
-    const std::uint64_t page = 7;
-    Addr base = page * MemoryGeometry::pageBytes;
-    // Write random blocks, then verify counters against a recount.
-    for (unsigned b = 0; b < 64; ++b)
-        store.write(base + b * lineBytes, randomLine(rng));
-    for (unsigned mat = 0; mat < 64; ++mat) {
-        unsigned expect = 0;
-        for (unsigned b = 0; b < 64; ++b)
-            expect += popcount8(store.read(base + b * lineBytes)[mat]);
-        EXPECT_EQ(store.matLrsCount(page, mat), expect);
+    // First-touch content: zero (no initializer), random, and all-ones,
+    // where every mat count is 512 (beyond an 8-bit lane).
+    const std::vector<BackingStore::PageInitializer> inits = {
+        nullptr,
+        [](std::uint64_t page, PageContent &c) {
+            Rng rng(page);
+            for (auto &block : c.blocks)
+                block = randomLine(rng);
+        },
+        [](std::uint64_t, PageContent &c) {
+            for (auto &block : c.blocks)
+                block.fill(0xff);
+        },
+    };
+    for (size_t n = 0; n < inits.size(); ++n) {
+        BackingStore store(MemoryGeometry{}, true, 0.0);
+        store.setPageInitializer(inits[n]);
+        Rng rng(2);
+        const std::uint64_t page = 7;
+        const Addr base = page * MemoryGeometry::pageBytes;
+        // Check the counters from first touch, then after random
+        // overwrites of every block.
+        for (int round = 0; round < 2; ++round) {
+            unsigned maxCount = 0;
+            for (unsigned mat = 0; mat < 64; ++mat) {
+                const unsigned expect = recountMat(store, page, mat);
+                EXPECT_EQ(store.matLrsCount(page, mat), expect)
+                    << "init " << n << " round " << round << " mat "
+                    << mat;
+                maxCount = std::max(maxCount, expect);
+            }
+            EXPECT_EQ(store.maxMatLrsCount(page), maxCount);
+            for (unsigned b = 0; b < 64; ++b)
+                store.write(base + b * lineBytes, randomLine(rng));
+        }
     }
-    unsigned maxCount = 0;
-    for (unsigned mat = 0; mat < 64; ++mat)
-        maxCount = std::max<unsigned>(maxCount,
-                                      store.matLrsCount(page, mat));
-    EXPECT_EQ(store.maxMatLrsCount(page), maxCount);
 }
 
 TEST(BackingStore, MatCountsSurviveOverwrites)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -29,6 +31,23 @@ TEST(Bitops, Popcount8)
     EXPECT_EQ(popcount8(0x81), 2u);
 }
 
+TEST(Bitops, ByteCountsEveryByteInEveryLane)
+{
+    for (unsigned lane = 0; lane < 8; ++lane) {
+        for (unsigned v = 0; v < 256; ++v) {
+            // v in this lane, its complement in every other lane.
+            std::uint64_t word = 0, expect = 0;
+            for (unsigned k = 0; k < 8; ++k) {
+                const unsigned byte = k == lane ? v : (~v & 0xffu);
+                word |= std::uint64_t{byte} << (8 * k);
+                expect |= std::uint64_t(std::popcount(byte)) << (8 * k);
+            }
+            ASSERT_EQ(byteCounts(word), expect)
+                << "lane " << lane << " byte " << v;
+        }
+    }
+}
+
 TEST(Bitops, PopcountLineMatchesByteSum)
 {
     Rng rng(1);
@@ -36,20 +55,9 @@ TEST(Bitops, PopcountLineMatchesByteSum)
         LineData line = randomLine(rng);
         unsigned expected = 0;
         for (auto byte : line)
-            expected += popcount8(byte);
+            expected += static_cast<unsigned>(std::popcount(byte));
         EXPECT_EQ(popcountLine(line), expected);
     }
-}
-
-TEST(Bitops, PopcountRangeSubsets)
-{
-    Rng rng(2);
-    LineData line = randomLine(rng);
-    unsigned total = 0;
-    for (size_t start = 0; start < lineBytes; start += 16)
-        total += popcountRange(line, start, start + 16);
-    EXPECT_EQ(total, popcountLine(line));
-    EXPECT_EQ(popcountRange(line, 5, 5), 0u);
 }
 
 TEST(Bitops, MaxBytePopcount)
@@ -69,7 +77,10 @@ TEST(Bitops, HammingAndTransitionsConsistent)
         LineData a = randomLine(rng);
         LineData b = randomLine(rng);
         BitTransitions t = countTransitions(a, b);
-        EXPECT_EQ(t.resets + t.sets, hammingLine(a, b));
+        LineData diff;
+        for (size_t k = 0; k < lineBytes; ++k)
+            diff[k] = static_cast<std::uint8_t>(a[k] ^ b[k]);
+        EXPECT_EQ(t.resets + t.sets, popcountLine(diff));
         // Popcount bookkeeping: ones(b) = ones(a) - resets + sets.
         EXPECT_EQ(popcountLine(b),
                   popcountLine(a) - t.resets + t.sets);
@@ -164,9 +175,9 @@ TEST(Bitops, TransposeLeavesOtherGroupsAlone)
 }
 
 // --------------------------------------------------------------------
-// Dispatched-kernel equivalence: the scalar reference is the
-// specification; the dispatched (word-lane or AVX2) implementations
-// must agree bit-for-bit on every input we can throw at them.
+// Kernel equivalence: the byte-wise references are the specification;
+// the byte-lane kernels must agree bit-for-bit on every input we can
+// throw at them.
 // --------------------------------------------------------------------
 
 /** Edge-pattern lines plus a stream of random ones. */
@@ -191,7 +202,7 @@ fuzzLines(Rng &rng, int randomCount)
     return lines;
 }
 
-TEST(BitopsDispatch, LineKernelsMatchScalarReference)
+TEST(BitopsKernels, LineKernelsMatchScalarReference)
 {
     Rng rng(6);
     std::vector<LineData> lines = fuzzLines(rng, 200);
@@ -199,7 +210,6 @@ TEST(BitopsDispatch, LineKernelsMatchScalarReference)
         const LineData &a = lines[i];
         const LineData &b = lines[(i + 1) % lines.size()];
         EXPECT_EQ(popcountLine(a), popcountLineScalar(a)) << "line " << i;
-        EXPECT_EQ(hammingLine(a, b), hammingLineScalar(a, b));
         BitTransitions d = countTransitions(a, b);
         BitTransitions s = countTransitionsScalar(a, b);
         EXPECT_EQ(d.resets, s.resets);
@@ -207,7 +217,7 @@ TEST(BitopsDispatch, LineKernelsMatchScalarReference)
     }
 }
 
-TEST(BitopsDispatch, PopcountRangeMatchesScalarForEveryWindow)
+TEST(BitopsKernels, MaxBytePopcountMatchesByteLoopForEveryWindow)
 {
     // Exhaustive over every [first, last) window — including empty
     // windows and every unaligned endpoint — so the masked head/tail
@@ -217,43 +227,19 @@ TEST(BitopsDispatch, PopcountRangeMatchesScalarForEveryWindow)
     for (const LineData &line : lines) {
         for (size_t first = 0; first <= lineBytes; ++first) {
             for (size_t last = first; last <= lineBytes; ++last) {
-                ASSERT_EQ(popcountRange(line, first, last),
-                          popcountRangeScalar(line, first, last))
+                unsigned expect = 0;
+                for (size_t i = first; i < last; ++i)
+                    expect = std::max(
+                        expect,
+                        static_cast<unsigned>(std::popcount(line[i])));
+                ASSERT_EQ(maxBytePopcount(line, first, last), expect)
                     << "window [" << first << ", " << last << ")";
             }
         }
     }
 }
 
-TEST(BitopsDispatch, Avx2KernelsMatchScalarReference)
-{
-    if (!bitopsHaveAvx2())
-        GTEST_SKIP() << "AVX2 unavailable or disabled on this host";
-    Rng rng(8);
-    std::vector<LineData> lines = fuzzLines(rng, 500);
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const LineData &a = lines[i];
-        const LineData &b = lines[(i * 7 + 3) % lines.size()];
-        ASSERT_EQ(popcountLineAvx2(a), popcountLineScalar(a))
-            << "line " << i;
-        ASSERT_EQ(hammingLineAvx2(a, b), hammingLineScalar(a, b));
-        BitTransitions v = countTransitionsAvx2(a, b);
-        BitTransitions s = countTransitionsScalar(a, b);
-        ASSERT_EQ(v.resets, s.resets);
-        ASSERT_EQ(v.sets, s.sets);
-    }
-}
-
-TEST(BitopsDispatch, DispatchDecisionIsStable)
-{
-    // The runtime dispatch decision is made once per process; repeated
-    // queries must agree (the kernels above rely on this).
-    bool first = bitopsHaveAvx2();
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(bitopsHaveAvx2(), first);
-}
-
-TEST(BitopsDispatch, MaxBytePopcountOnEdgePatterns)
+TEST(BitopsKernels, MaxBytePopcountOnEdgePatterns)
 {
     EXPECT_EQ(maxBytePopcount(filledLine(0xff), 0, lineBytes), 8u);
     EXPECT_EQ(maxBytePopcount(filledLine(0x00), 0, lineBytes), 0u);

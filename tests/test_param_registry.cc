@@ -45,8 +45,9 @@ ResolvedExperiment
 resolve(std::vector<const char *> args)
 {
     args.insert(args.begin(), "prog");
+    const ExperimentConfig defaults;
     return resolveExperiment(static_cast<int>(args.size()),
-                             args.data(), ExperimentConfig{});
+                             args.data(), defaults);
 }
 
 std::string
