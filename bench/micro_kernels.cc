@@ -314,8 +314,8 @@ BM_ControllerWriteDispatch(benchmark::State &state)
     AddressMap map(geo);
     auto layout = std::make_shared<MetadataLayout>(
         geo, map.totalPages() * 3 / 4);
-    auto scheme = makeScheme(SchemeKind::LadderHybrid,
-                             CrossbarParams{}, layout, {});
+    auto scheme =
+        makeScheme(SchemeKind::LadderHybrid, timing, layout, {});
     EventQueue events;
     MemoryController ctrl(events, cfg, geo, 0, store, timing,
                           scheme);

@@ -38,7 +38,7 @@ main()
     AddressMap map(geometry);
     auto layout = std::make_shared<MetadataLayout>(
         geometry, map.totalPages() * 3 / 4);
-    auto scheme = makeScheme(SchemeKind::LadderEst, crossbar, layout);
+    auto scheme = makeScheme(SchemeKind::LadderEst, timing, layout);
     MemoryController ctrl(events, ControllerConfig{}, geometry, 0,
                           store, timing, scheme);
 

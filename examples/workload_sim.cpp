@@ -30,6 +30,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "sim/config_resolve.hh"
@@ -40,16 +41,13 @@
 
 using namespace ladder;
 
+// A fatal() anywhere — resolving the arguments, calibrating the
+// circuit, running a cell — exits 2 rather than aborting.
 int
 main(int argc, char **argv)
-{
-    ResolvedExperiment resolved;
-    try {
-        resolved =
-            resolveExperiment(argc, argv, defaultExperimentConfig());
-    } catch (const std::runtime_error &) {
-        return 2; // fatal() has printed the diagnostic
-    }
+try {
+    ResolvedExperiment resolved =
+        resolveExperiment(argc, argv, defaultExperimentConfig());
     if (resolved.helpRequested) {
         if (resolved.helpFormat == "md") {
             experimentRegistry().helpMarkdown(std::cout,
@@ -152,4 +150,8 @@ main(int argc, char **argv)
         system.dumpStats(std::cout);
     }
     return 0;
+} catch (const std::system_error &) {
+    throw; // an OS error, not a fatal(): keep the uncaught report
+} catch (const std::runtime_error &) {
+    return 2; // fatal() has printed the diagnostic
 }

@@ -52,6 +52,8 @@ struct CrossbarParams
      */
     double wlSneakScale = 3.0;
     double blSneakScale = 1.0;
+
+    bool operator==(const CrossbarParams &) const = default;
 };
 
 /** Resistive state of one cell. */

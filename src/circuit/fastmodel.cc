@@ -197,8 +197,6 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
     eval.minDropVolts = *std::min_element(drops.begin(), drops.end());
     eval.maxDropVolts = *std::max_element(drops.begin(), drops.end());
     eval.sourcePowerWatts = drvPower + std::max(biasPower, 0.0);
-    SolverInstrumentation::instance().notePicard(eval.iterations,
-                                                 eval.converged);
     return eval;
 }
 

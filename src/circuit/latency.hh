@@ -44,6 +44,8 @@ struct ResetLatencyLaw
      * Used by the §7 process-variability ablation.
      */
     ResetLatencyLaw shrinkDynamicRange(double factor) const;
+
+    bool operator==(const ResetLatencyLaw &) const = default;
 };
 
 } // namespace ladder

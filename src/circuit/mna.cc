@@ -198,9 +198,6 @@ CrossbarMna::solve(const std::vector<CellState> &pattern,
         }
     }
 
-    SolverInstrumentation::instance().notePicard(
-        sol.picardIterations, sol.converged);
-
     sol.wlVolts.assign(volts.begin(), volts.begin() + n * m);
     sol.blVolts.assign(volts.begin() + n * m, volts.end());
 

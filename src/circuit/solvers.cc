@@ -29,51 +29,6 @@ norm2(const std::vector<double> &a)
 
 } // anonymous namespace
 
-SolverInstrumentation &
-SolverInstrumentation::instance()
-{
-    static SolverInstrumentation inst;
-    return inst;
-}
-
-void
-SolverInstrumentation::noteCg(const CgResult &result,
-                              double relativeResidual)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.cgSolves;
-    counters_.cgIterations += result.iterations;
-    if (!result.converged)
-        ++counters_.cgStalls;
-    counters_.cgMaxResidual =
-        std::max(counters_.cgMaxResidual, relativeResidual);
-}
-
-void
-SolverInstrumentation::notePicard(std::size_t iterations,
-                                  bool converged)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.picardSolves;
-    counters_.picardIterations += iterations;
-    if (!converged)
-        ++counters_.picardStalls;
-}
-
-SolverCounters
-SolverInstrumentation::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
-}
-
-void
-SolverInstrumentation::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_ = SolverCounters{};
-}
-
 CgResult
 conjugateGradient(const SparseMatrix &a, const std::vector<double> &b,
                   std::vector<double> &x, double tol,
@@ -100,15 +55,11 @@ conjugateGradient(const SparseMatrix &a, const std::vector<double> &b,
     const double bNorm = norm2(b);
     const double target = tol * (bNorm > 0.0 ? bNorm : 1.0);
 
-    const double residualScale = bNorm > 0.0 ? 1.0 / bNorm : 1.0;
-
     CgResult result;
     double rNorm = norm2(r);
     if (rNorm <= target) {
         result.converged = true;
         result.residualNorm = rNorm;
-        SolverInstrumentation::instance().noteCg(
-            result, rNorm * residualScale);
         return result;
     }
 
@@ -144,8 +95,6 @@ conjugateGradient(const SparseMatrix &a, const std::vector<double> &b,
             p[i] = z[i] + beta * p[i];
     }
     result.residualNorm = rNorm;
-    SolverInstrumentation::instance().noteCg(result,
-                                             rNorm * residualScale);
     return result;
 }
 

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "sparse.hh"
@@ -29,38 +28,34 @@ struct CgResult
 };
 
 /**
- * Process-wide solver-effort counters snapshotted into run manifests
- * and stats.json. Only order-independent aggregates are kept (integer
- * sums and maxima), so totals are bit-identical however the parallel
- * sweep interleaves the table builds that drive the solves.
+ * Nonlinear-solve effort a TimingModel carries for the fast-model
+ * solves that built it, exported as the `solver` block of stats.json.
+ * Only integer sums are kept, so a model's totals do not depend on how
+ * its build was parallelized.
  */
 struct SolverCounters
 {
-    std::uint64_t cgSolves = 0;
-    std::uint64_t cgIterations = 0;
-    std::uint64_t cgStalls = 0;      //!< solves that hit the cap
-    double cgMaxResidual = 0.0;      //!< worst relative residual left
-    std::uint64_t picardSolves = 0;  //!< nonlinear outer solves (MNA
-                                     //!< Picard + fast-model loops)
+    std::uint64_t picardSolves = 0;
     std::uint64_t picardIterations = 0;
-    std::uint64_t picardStalls = 0;
-};
+    std::uint64_t picardStalls = 0; //!< solves that did not converge
 
-/** Thread-safe accumulator behind the counters above. */
-class SolverInstrumentation
-{
-  public:
-    static SolverInstrumentation &instance();
+    /** Count one nonlinear outer solve. */
+    void
+    notePicard(std::size_t iterations, bool converged)
+    {
+        ++picardSolves;
+        picardIterations += iterations;
+        picardStalls += converged ? 0 : 1;
+    }
 
-    void noteCg(const CgResult &result, double relativeResidual);
-    void notePicard(std::size_t iterations, bool converged);
-
-    SolverCounters snapshot() const;
-    void reset();
-
-  private:
-    mutable std::mutex mutex_;
-    SolverCounters counters_;
+    SolverCounters &
+    operator+=(const SolverCounters &other)
+    {
+        picardSolves += other.picardSolves;
+        picardIterations += other.picardIterations;
+        picardStalls += other.picardStalls;
+        return *this;
+    }
 };
 
 /**

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -50,9 +51,9 @@ using Calibration =
  * against one that replays those results in request order. Each solve
  * is a pure function of (params, condition), so the tables equal a
  * serial build's at any worker count. Every requested point is solved,
- * repeated corners included, so the solver counters are unchanged too.
- * The pool is this call's own, never a caller's: the build is safe
- * inside a sweep worker that holds the cachedTimingModel lock.
+ * repeated corners included, and counted into model.solver. The pool
+ * is this call's own, never a caller's, so a build may run on a sweep
+ * worker while other workers build other models.
  */
 TimingModel
 buildModel(const CrossbarParams &params, unsigned granularity,
@@ -107,8 +108,61 @@ buildModel(const CrossbarParams &params, unsigned granularity,
     ladder_assert(replayed == conds.size(),
                   "timing table replay used %zu of %zu solves", replayed,
                   conds.size());
+    for (const ResetEvaluation &ev : results)
+        model.solver.notePicard(ev.iterations, ev.converged);
     attachSurfaces(model);
     return model;
+}
+
+/**
+ * A cached model's inputs: generate()'s, or generateDerived()'s when
+ * the law is set (rangeShrink is then unused).
+ */
+struct ModelKey
+{
+    CrossbarParams params;
+    unsigned granularity;
+    double rangeShrink;
+    std::optional<ResetLatencyLaw> law;
+
+    bool operator==(const ModelKey &) const = default;
+};
+
+/**
+ * The one model cache. The lock covers lookup and insert only: each
+ * key holds a deferred future, whose first get() builds the model in
+ * the calling thread while concurrent get()s of that key wait for it,
+ * so distinct keys build concurrently and a key builds once. A failed
+ * build's exception is kept and rethrown to every requester. The
+ * futures' shared states own the models, so references stay valid
+ * however the vector grows.
+ */
+const TimingModel &
+cachedModel(const ModelKey &key)
+{
+    static std::mutex cacheMutex;
+    static std::vector<std::pair<ModelKey, std::shared_future<TimingModel>>>
+        cache;
+    std::shared_future<TimingModel> model;
+    {
+        std::lock_guard<std::mutex> lock(cacheMutex);
+        for (const auto &entry : cache) {
+            if (entry.first == key)
+                model = entry.second;
+        }
+        if (!model.valid()) {
+            model = std::async(std::launch::deferred, [key] {
+                        return key.law ? TimingModel::generateDerived(
+                                             key.params, *key.law,
+                                             key.granularity)
+                                       : TimingModel::generate(
+                                             key.params, key.granularity,
+                                             key.rangeShrink);
+                    }).share();
+            cache.emplace_back(key, model);
+        }
+    }
+    return model.get();
 }
 
 } // namespace
@@ -285,54 +339,6 @@ PowerTable::lookup(unsigned wordline, unsigned bitline,
                   cb];
 }
 
-const TimingModel &
-cachedTimingModel(const CrossbarParams &params, unsigned granularity,
-                  double rangeShrink)
-{
-    struct Key
-    {
-        CrossbarParams p;
-        unsigned g;
-        double s;
-
-        bool
-        operator==(const Key &o) const
-        {
-            return p.rows == o.p.rows && p.cols == o.p.cols &&
-                   p.selectedCells == o.p.selectedCells &&
-                   p.lrsOhms == o.p.lrsOhms &&
-                   p.hrsOhms == o.p.hrsOhms &&
-                   p.selectorNonlinearity ==
-                       o.p.selectorNonlinearity &&
-                   p.inputOhms == o.p.inputOhms &&
-                   p.outputOhms == o.p.outputOhms &&
-                   p.wireOhms == o.p.wireOhms &&
-                   p.writeVolts == o.p.writeVolts &&
-                   p.biasVolts == o.p.biasVolts &&
-                   p.blSneakScale == o.p.blSneakScale &&
-                   p.wlSneakScale == o.p.wlSneakScale && g == o.g &&
-                   s == o.s;
-        }
-    };
-    // Parallel sweep workers build Systems concurrently; the whole
-    // lookup-or-generate runs under one lock so a given key is only
-    // ever generated once and the returned reference (stable: the
-    // vector owns unique_ptrs) is safe to read lock-free afterwards.
-    static std::mutex cacheMutex;
-    static std::vector<std::pair<Key, std::unique_ptr<TimingModel>>>
-        cache;
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    Key key{params, granularity, rangeShrink};
-    for (const auto &entry : cache) {
-        if (entry.first == key)
-            return *entry.second;
-    }
-    auto model = std::make_unique<TimingModel>(
-        TimingModel::generate(params, granularity, rangeShrink));
-    cache.emplace_back(key, std::move(model));
-    return *cache.back().second;
-}
-
 TimingModel
 TimingModel::generate(const CrossbarParams &params, unsigned granularity,
                       double rangeShrink, double fastNs, double slowNs)
@@ -346,9 +352,30 @@ TimingModel::generate(const CrossbarParams &params, unsigned granularity,
                 params.rows - 1, params.cols / params.selectedCells - 1,
                 static_cast<unsigned>(params.cols),
                 static_cast<unsigned>(params.rows)};
-            model.bestDropVolts = fast.evaluate(bestCond).minDropVolts;
-            model.worstDropVolts =
-                fast.evaluate(worstCond).minDropVolts;
+            const ResetEvaluation best = fast.evaluate(bestCond);
+            const ResetEvaluation worst = fast.evaluate(worstCond);
+            model.solver.notePicard(best.iterations, best.converged);
+            model.solver.notePicard(worst.iterations, worst.converged);
+            model.bestDropVolts = best.minDropVolts;
+            model.worstDropVolts = worst.minDropVolts;
+            if (!std::isfinite(model.bestDropVolts) ||
+                !std::isfinite(model.worstDropVolts) ||
+                model.bestDropVolts <= model.worstDropVolts)
+                fatal("crossbar calibration failed: best-case drop %g V "
+                      "must exceed worst-case drop %g V (xbar.rows=%zu "
+                      "xbar.cols=%zu xbar.selected-cells=%zu "
+                      "xbar.lrs-ohms=%g xbar.hrs-ohms=%g "
+                      "xbar.nonlinearity=%g xbar.input-ohms=%g "
+                      "xbar.output-ohms=%g xbar.wire-ohms=%g "
+                      "xbar.write-volts=%g xbar.bias-volts=%g "
+                      "xbar.wl-sneak-scale=%g xbar.bl-sneak-scale=%g)",
+                      model.bestDropVolts, model.worstDropVolts,
+                      params.rows, params.cols, params.selectedCells,
+                      params.lrsOhms, params.hrsOhms,
+                      params.selectorNonlinearity, params.inputOhms,
+                      params.outputOhms, params.wireOhms,
+                      params.writeVolts, params.biasVolts,
+                      params.wlSneakScale, params.blSneakScale);
             model.law = ResetLatencyLaw::calibrate(
                 model.bestDropVolts, model.worstDropVolts, fastNs,
                 slowNs);
@@ -366,6 +393,20 @@ TimingModel::generateDerived(const CrossbarParams &params,
                       [&law](TimingModel &model, const SneakPathModel &) {
                           model.law = law;
                       });
+}
+
+const TimingModel &
+cachedTimingModel(const CrossbarParams &params, unsigned granularity,
+                  double rangeShrink)
+{
+    return cachedModel({params, granularity, rangeShrink, std::nullopt});
+}
+
+const TimingModel &
+cachedDerivedModel(const CrossbarParams &params,
+                   const ResetLatencyLaw &law, unsigned granularity)
+{
+    return cachedModel({params, granularity, 1.0, law});
 }
 
 } // namespace ladder

@@ -26,6 +26,7 @@
 #include "circuit/cell_model.hh"
 #include "circuit/latency.hh"
 #include "circuit/reset_condition.hh"
+#include "circuit/solvers.hh"
 
 namespace ladder
 {
@@ -162,6 +163,8 @@ struct TimingModel
     PowerTable power;          //!< content-true power (energy model)
     double bestDropVolts = 0.0;
     double worstDropVolts = 0.0;
+    /** Every circuit solve this model's build ran (stats.json). */
+    SolverCounters solver;
 
     /**
      * Dense O(1) surfaces precomputed from the three tables (see
@@ -197,17 +200,27 @@ struct TimingModel
 
     /** Worst-case fixed write latency (the baseline's tWR). */
     double worstLatencyNs() const { return location.worstLatencyNs(); }
+    /** Buckets per dimension the tables were built with. */
+    unsigned granularity() const { return ladder.wlBuckets(); }
 };
 
 /**
- * Memoized TimingModel::generate. Table generation costs ~0.4 s per
- * parameter set on 4 hardware threads (1.2-1.7 s serial); experiment
- * sweeps construct hundreds of systems, so identical models are built
- * once and shared.
+ * Memoized TimingModel::generate, keyed on all of its inputs. Table
+ * generation costs ~0.4 s per parameter set on 4 hardware threads
+ * (1.2-1.7 s serial); experiment sweeps construct hundreds of systems,
+ * so identical models are built once and shared. The cache's lock is
+ * held only to look a key up or insert it: distinct keys build
+ * concurrently, and a second request for a key being built waits for
+ * that build. Returned references stay valid for the process lifetime.
  */
 const TimingModel &cachedTimingModel(const CrossbarParams &params,
                                      unsigned granularity = 8,
                                      double rangeShrink = 1.0);
+
+/** Memoized TimingModel::generateDerived, in the same cache. */
+const TimingModel &cachedDerivedModel(const CrossbarParams &params,
+                                      const ResetLatencyLaw &law,
+                                      unsigned granularity);
 
 } // namespace ladder
 

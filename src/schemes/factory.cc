@@ -50,7 +50,7 @@ schemeKindFromName(const std::string &name)
 }
 
 std::shared_ptr<WriteScheme>
-makeScheme(SchemeKind kind, const CrossbarParams &params,
+makeScheme(SchemeKind kind, const TimingModel &model,
            std::shared_ptr<MetadataLayout> layout,
            const SchemeOptions &opts)
 {
@@ -60,8 +60,7 @@ makeScheme(SchemeKind kind, const CrossbarParams &params,
       case SchemeKind::Location:
         return std::make_shared<LocationScheme>();
       case SchemeKind::SplitReset:
-        return std::make_shared<SplitResetScheme>(
-            params, opts.tableGranularity);
+        return std::make_shared<SplitResetScheme>(model);
       case SchemeKind::Blp:
         return std::make_shared<BlpScheme>();
       case SchemeKind::LadderBasic:

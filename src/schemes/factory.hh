@@ -35,7 +35,6 @@ enum class SchemeKind
 /** Options forwarded to scheme constructors. */
 struct SchemeOptions
 {
-    unsigned tableGranularity = 8;
     unsigned hybridLowRows = 128;
     bool shifting = true;
 };
@@ -53,13 +52,13 @@ SchemeKind schemeKindFromName(const std::string &name);
  * Instantiate a scheme.
  *
  * @param kind Which design.
- * @param params Crossbar parameters (Split-reset derives its
- *        half-RESET tables from them).
+ * @param model The system's timing model (Split-reset derives its
+ *        half-RESET tables from it).
  * @param layout Metadata layout (used by the LADDER variants).
  * @param opts Tuning knobs.
  */
 std::shared_ptr<WriteScheme>
-makeScheme(SchemeKind kind, const CrossbarParams &params,
+makeScheme(SchemeKind kind, const TimingModel &model,
            std::shared_ptr<MetadataLayout> layout,
            const SchemeOptions &opts = {});
 

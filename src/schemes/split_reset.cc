@@ -1,10 +1,5 @@
 #include "split_reset.hh"
 
-#include <memory>
-#include <mutex>
-#include <utility>
-#include <vector>
-
 #include "reram/latency_surface.hh"
 #include "schemes/fpc.hh"
 
@@ -15,38 +10,21 @@ namespace
 {
 
 /**
- * Half-RESET tables: 4 selected cells per mat evaluated under the
- * *reference* (8-cell) latency law, memoized per granularity.
+ * Half-RESET tables: half the selected cells per mat, priced on the
+ * reference model's law so both modes share one latency scale.
  */
 const TimingModel &
-cachedHalfModel(const CrossbarParams &params, unsigned granularity)
+halfResetModel(const TimingModel &full)
 {
-    // Taken before the cachedTimingModel lock (never the other way
-    // round), so concurrent SplitReset System builds cannot deadlock
-    // or double-generate.
-    static std::mutex cacheMutex;
-    static std::vector<std::pair<unsigned, std::unique_ptr<TimingModel>>>
-        cache;
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    for (const auto &entry : cache) {
-        if (entry.first == granularity)
-            return *entry.second;
-    }
-    const TimingModel &full = cachedTimingModel(params, granularity);
-    CrossbarParams half = params;
-    half.selectedCells = params.selectedCells / 2;
-    cache.emplace_back(granularity,
-                       std::make_unique<TimingModel>(
-                           TimingModel::generateDerived(
-                               half, full.law, granularity)));
-    return *cache.back().second;
+    CrossbarParams half = full.params;
+    half.selectedCells = full.params.selectedCells / 2;
+    return cachedDerivedModel(half, full.law, full.granularity());
 }
 
 } // anonymous namespace
 
-SplitResetScheme::SplitResetScheme(const CrossbarParams &params,
-                                   unsigned granularity)
-    : halfModel_(cachedHalfModel(params, granularity))
+SplitResetScheme::SplitResetScheme(const TimingModel &model)
+    : halfModel_(halfResetModel(model))
 {
 }
 

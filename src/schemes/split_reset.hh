@@ -24,12 +24,10 @@ class SplitResetScheme : public WriteScheme
 {
   public:
     /**
-     * @param params Crossbar parameters of the host timing model; a
-     *        dedicated 4-selected-cell location table is generated.
-     * @param granularity Timing-table granularity (8 in the paper).
+     * @param model The system's timing model; the half-RESET tables
+     *        are derived from its parameters, law and granularity.
      */
-    explicit SplitResetScheme(const CrossbarParams &params,
-                              unsigned granularity = 8);
+    explicit SplitResetScheme(const TimingModel &model);
 
     std::string name() const override { return "Split-reset"; }
     WriteDecision decideWrite(MemoryController &ctrl, WriteEntry &entry,
@@ -46,6 +44,9 @@ class SplitResetScheme : public WriteScheme
 
     StatScalar compressibleWrites;
     StatScalar incompressibleWrites;
+
+    /** The derived half-RESET model the phases are priced on. */
+    const TimingModel &halfModel() const { return halfModel_; }
 
   private:
     const TimingModel &halfModel_;

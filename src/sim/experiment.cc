@@ -66,7 +66,6 @@ makeSystemConfig(SchemeKind scheme, const std::string &workload,
     SystemConfig sys = config.system;
     sys.scheme = scheme;
     sys.schemeOptions = config.schemeOptions;
-    sys.schemeOptions.tableGranularity = config.granularity;
     sys.tableGranularity = config.granularity;
     sys.rangeShrink = config.rangeShrink;
     sys.workloads = workloadPrograms(workload);

@@ -4,6 +4,7 @@
 
 #include "common/log.hh"
 #include "schemes/ladder_schemes.hh"
+#include "schemes/split_reset.hh"
 #include "trace/data_patterns.hh"
 
 namespace ladder
@@ -37,7 +38,7 @@ System::System(const SystemConfig &config) : config_(config)
         map.totalPages() * config_.dataPageFraction);
     layout_ =
         std::make_shared<MetadataLayout>(config_.geometry, dataPages);
-    scheme_ = makeScheme(config_.scheme, config_.crossbar, layout_,
+    scheme_ = makeScheme(config_.scheme, *timing_, layout_,
                          config_.schemeOptions);
 
     for (unsigned ch = 0; ch < config_.geometry.channels; ++ch) {
@@ -343,6 +344,16 @@ System::run(std::uint64_t warmupInstr, std::uint64_t measureInstr)
         result.accurateCwMean = basic->accurateCw.mean();
     }
     return result;
+}
+
+SolverCounters
+System::solverEffort() const
+{
+    SolverCounters total = timing_->solver;
+    if (auto *split =
+            dynamic_cast<const SplitResetScheme *>(scheme_.get()))
+        total += split->halfModel().solver;
+    return total;
 }
 
 void

@@ -125,6 +125,12 @@ class System
     const SystemConfig &config() const { return config_; }
     WriteScheme &scheme() { return *scheme_; }
 
+    /**
+     * Circuit-solver effort of the timing models this system runs on:
+     * its own, plus Split-reset's half-RESET model.
+     */
+    SolverCounters solverEffort() const;
+
     /** Install a wear-leveling remapper on every controller. */
     void setRemapper(AddressRemapper *remapper);
 

@@ -32,7 +32,7 @@ struct Rig
         layout = std::make_shared<MetadataLayout>(
             geo, map.totalPages() * 3 / 4);
         auto scheme =
-            makeScheme(kind, CrossbarParams{}, layout, {});
+            makeScheme(kind, timing, layout, {});
         for (unsigned ch = 0; ch < geo.channels; ++ch)
             controllers.push_back(
                 std::make_unique<MemoryController>(

@@ -36,7 +36,7 @@ struct Rig
         AddressMap map(geo);
         layout = std::make_shared<MetadataLayout>(
             geo, map.totalPages() * 3 / 4);
-        scheme = makeScheme(kind, CrossbarParams{}, layout, {});
+        scheme = makeScheme(kind, timing, layout, {});
         ctrl = std::make_unique<MemoryController>(
             events, ControllerConfig{}, geo, 0, store, timing,
             scheme);

@@ -14,10 +14,11 @@
  * and commit the rewritten files together with the change that
  * explains them (see tests/golden/README.md).
  *
- * Determinism notes: this test runs in its own binary so the
- * process-wide solver instrumentation and memoized timing tables see
- * a fixed call sequence, and LADDER_GIT_DESCRIBE is pinned before any
- * test code runs so the manifest does not change with every commit.
+ * Determinism notes: the solver block records the counters of the
+ * timing model each run used, so it does not depend on what else the
+ * process built. This test runs in its own binary so
+ * LADDER_GIT_DESCRIBE is pinned before any test code runs and the
+ * manifest does not change with every commit.
  * Volatile manifest fields are off by default. The reference bytes
  * are produced by the repository's CI toolchain; a different
  * compiler's floating-point contraction choices may legitimately

@@ -12,9 +12,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
+#include "common/json.hh"
 #include "sim/experiment.hh"
 #include "sim/stats_export.hh"
 
@@ -89,9 +93,10 @@ expectBitIdentical(const SimResult &a, const SimResult &b)
 
 TEST(ParallelDeterminism, SerialAndParallelSweepsAreBitIdentical)
 {
-    // SplitReset exercises the memoized half-model cache and
-    // LadderHybrid the estimation path — the components with shared
-    // state that parallelism could have perturbed.
+    // SplitReset exercises the shared timing-model cache with a
+    // second (derived) key and LadderHybrid the estimation path — the
+    // components with shared state that parallelism could have
+    // perturbed.
     const std::vector<SchemeKind> schemes = {
         SchemeKind::Baseline, SchemeKind::SplitReset,
         SchemeKind::LadderHybrid};
@@ -112,6 +117,74 @@ TEST(ParallelDeterminism, SerialAndParallelSweepsAreBitIdentical)
                                parallel.at(kind, workload));
         }
     }
+}
+
+std::string
+slurp(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(ParallelDeterminism, StatsJsonIdenticalAtAnyJobCount)
+{
+    // The solver block reports the counters of the models each cell
+    // used, not a process-wide tally, so every stats.json is
+    // byte-equal across job counts and cells sharing a process.
+    const std::vector<SchemeKind> schemes = {
+        SchemeKind::Baseline, SchemeKind::SplitReset,
+        SchemeKind::LadderHybrid};
+    const std::vector<std::string> workloads = {"lbm", "mcf"};
+    namespace fs = std::filesystem;
+    const fs::path base =
+        fs::path(::testing::TempDir()) / "ladder_determinism_stats";
+    fs::remove_all(base);
+    for (unsigned jobs : {1u, 8u}) {
+        ExperimentConfig cfg = quickConfig(jobs);
+        cfg.statsJsonDir = (base / ("j" + std::to_string(jobs))).string();
+        runMatrixParallel(schemes, workloads, cfg);
+    }
+
+    for (const auto &workload : workloads) {
+        for (SchemeKind kind : schemes) {
+            const fs::path rel =
+                fs::path(runDirName(kind, workload)) / "stats.json";
+            SCOPED_TRACE(rel.string());
+            const std::string serial = slurp(base / "j1" / rel);
+            ASSERT_FALSE(serial.empty());
+            EXPECT_EQ(serial, slurp(base / "j8" / rel));
+            const JsonValue solver = parseJson(serial).at("solver");
+            EXPECT_EQ(solver.at("picard_solves").number,
+                      kind == SchemeKind::SplitReset ? 2690.0 : 1346.0);
+            EXPECT_EQ(solver.at("cg_solves").number, 0.0);
+        }
+    }
+    fs::remove_all(base);
+}
+
+TEST(ParallelDeterminism, CellCrossbarOverrideMatchesStandaloneRun)
+{
+    // A sweep-spec cell that changes the crossbar must price
+    // Split-reset's half-RESET phases on its own circuit, not on a
+    // half model an earlier default cell built.
+    ExperimentConfig sweep = quickConfig(1);
+    sweep.cellOverrides.push_back(
+        {"Split-reset", "mcf", {{"xbar.wire-ohms", "5"}}});
+    Matrix m = runMatrixParallel({SchemeKind::SplitReset},
+                                 {"lbm", "mcf"}, sweep);
+
+    const SimResult &cell = m.at(SchemeKind::SplitReset, "mcf");
+    ExperimentConfig alone = quickConfig(1);
+    alone.system.crossbar.wireOhms = 5.0;
+    expectBitIdentical(cell,
+                       runOne(SchemeKind::SplitReset, "mcf", alone));
+    // The resistive wire slows every half-RESET phase.
+    ASSERT_GT(cell.dataWrites, 0u);
+    EXPECT_GT(cell.avgWriteTwrNs,
+              runOne(SchemeKind::SplitReset, "mcf", quickConfig(1))
+                  .avgWriteTwrNs);
 }
 
 TEST(ParallelDeterminism, NoTwoCellsShareATraceFilePath)

@@ -33,7 +33,7 @@ struct SchemeRig
         AddressMap map(geo);
         layout = std::make_shared<MetadataLayout>(
             geo, map.totalPages() * 3 / 4);
-        scheme = makeScheme(kind, CrossbarParams{}, layout, {});
+        scheme = makeScheme(kind, timing, layout, {});
         ctrl = std::make_unique<MemoryController>(
             events, ControllerConfig{}, geo, 0, store, timing,
             scheme);
@@ -275,7 +275,8 @@ TEST(Schemes, ConstrainedFnwFlagOnlyForLadder)
     for (SchemeKind kind : allSchemeKinds()) {
         auto layout = std::make_shared<MetadataLayout>(
             MemoryGeometry{}, 1000);
-        auto scheme = makeScheme(kind, CrossbarParams{}, layout, {});
+        auto scheme = makeScheme(
+            kind, cachedTimingModel(CrossbarParams{}), layout, {});
         bool isLadder = kind == SchemeKind::LadderBasic ||
                         kind == SchemeKind::LadderEst ||
                         kind == SchemeKind::LadderHybrid;

@@ -39,7 +39,7 @@ struct StressRig
         AddressMap map(geo);
         layout = std::make_shared<MetadataLayout>(
             geo, map.totalPages() * 3 / 4);
-        scheme = makeScheme(kind, CrossbarParams{}, layout, {});
+        scheme = makeScheme(kind, timing, layout, {});
         for (unsigned ch = 0; ch < geo.channels; ++ch)
             controllers.push_back(
                 std::make_unique<MemoryController>(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "schemes/split_reset.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 
@@ -168,6 +169,25 @@ TEST(System, RangeShrinkReducesBenefit)
     EXPECT_GT(gainNominal, 0.0);
     EXPECT_GT(gainShrunk, 0.0);
     EXPECT_LT(gainShrunk, gainNominal);
+}
+
+TEST(System, SplitResetDerivesFromTheSystemModel)
+{
+    // The half-RESET model is priced on the law the rest of the
+    // system uses (shrunk here), built from the system's own crossbar,
+    // and its solves are exported with the system model's.
+    ExperimentConfig cfg = quickConfig();
+    cfg.rangeShrink = 2.0;
+    cfg.system.crossbar.wireOhms = 3.0;
+    System sys(makeSystemConfig(SchemeKind::SplitReset, "lbm", cfg));
+    const auto &split =
+        dynamic_cast<const SplitResetScheme &>(sys.scheme());
+    const TimingModel &full =
+        cachedTimingModel(cfg.system.crossbar, 8, 2.0);
+    EXPECT_EQ(split.halfModel().law, full.law);
+    EXPECT_EQ(split.halfModel().params.wireOhms, 3.0);
+    EXPECT_EQ(split.halfModel().params.selectedCells, 4u);
+    EXPECT_EQ(sys.solverEffort().picardSolves, 2690u);
 }
 
 TEST(System, FnwOffMeansNoFlips)

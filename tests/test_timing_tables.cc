@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "circuit/fastmodel.hh"
-#include "circuit/solvers.hh"
 #include "reram/latency_surface.hh"
 #include "reram/timing_tables.hh"
 
@@ -381,10 +385,75 @@ TEST(TimingModelDeterminism, SolvesEveryRequestedCondition)
     PowerTable::build(p, count);
     EXPECT_EQ(requested, 1346u);
 
-    SolverInstrumentation &inst = SolverInstrumentation::instance();
-    const std::uint64_t before = inst.snapshot().picardSolves;
-    TimingModel::generate(p);
-    EXPECT_EQ(inst.snapshot().picardSolves - before, requested);
+    const SolverCounters solver = TimingModel::generate(p).solver;
+    EXPECT_EQ(solver.picardSolves, 1346u);
+    EXPECT_EQ(solver.picardIterations, 23901u);
+    EXPECT_EQ(solver.picardStalls, 0u);
+}
+
+TEST(TimingModelDeterminism, CalibrationFailureIsFatal)
+{
+    // A wire resistance inside the registry's range at which the
+    // fast model's worst-case drop is not finite: a configuration
+    // error, reported as fatal() rather than an assertion abort, and
+    // rethrown by the cache on every request.
+    CrossbarParams p;
+    p.wireOhms = 10.0;
+    EXPECT_THROW(TimingModel::generate(p), std::runtime_error);
+    EXPECT_THROW(cachedTimingModel(p), std::runtime_error);
+    EXPECT_THROW(cachedTimingModel(p), std::runtime_error);
+}
+
+TEST(TimingModelCache, ConcurrentRequestsBuildEachKeyOnce)
+{
+    // Keys no other test requests, at granularity 2 so each build is
+    // small: two distinct generate() keys and one derived half-RESET
+    // key. Every thread asks for all three, in a rotated order, so
+    // distinct keys build concurrently and each key is requested
+    // eight times at once.
+    CrossbarParams p;
+    CrossbarParams half = p;
+    half.selectedCells = p.selectedCells / 2;
+    const TimingModel nominal = TimingModel::generate(p, 2, 1.0);
+    const TimingModel shrunk = TimingModel::generate(p, 2, 3.0);
+    const TimingModel derived =
+        TimingModel::generateDerived(half, nominal.law, 2);
+
+    constexpr int threads = 8;
+    std::vector<std::array<const TimingModel *, 3>> got(threads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < threads)
+                std::this_thread::yield();
+            for (int i = 0; i < 3; ++i) {
+                const int k = (t + i) % 3;
+                got[t][k] =
+                    k == 0 ? &cachedTimingModel(p, 2, 1.0)
+                    : k == 1
+                        ? &cachedTimingModel(p, 2, 3.0)
+                        : &cachedDerivedModel(half, nominal.law, 2);
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+
+    for (int t = 1; t < threads; ++t)
+        EXPECT_EQ(got[t], got[0]) << "thread " << t;
+    const TimingModel *want[3] = {&nominal, &shrunk, &derived};
+    for (int k = 0; k < 3; ++k) {
+        SCOPED_TRACE(testing::Message() << "key " << k);
+        expectSameModel(*got[0][k], *want[k]);
+        EXPECT_EQ(got[0][k]->solver.picardSolves,
+                  want[k]->solver.picardSolves);
+        EXPECT_EQ(got[0][k]->solver.picardIterations,
+                  want[k]->solver.picardIterations);
+    }
+    EXPECT_NE(got[0][0], got[0][1]);
+    EXPECT_NE(got[0][0], got[0][2]);
 }
 
 TEST(PowerTable, PositiveAndContentSensitive)

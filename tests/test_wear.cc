@@ -143,7 +143,8 @@ TEST(Hwl, EncodeDecodeRoundTripAcrossRotations)
 {
     auto layout = std::make_shared<MetadataLayout>(
         MemoryGeometry{}, 1000);
-    auto inner = makeScheme(SchemeKind::LadderEst, CrossbarParams{},
+    auto inner = makeScheme(SchemeKind::LadderEst,
+                            cachedTimingModel(CrossbarParams{}),
                             layout, {});
     HorizontalWearScheme hwl(inner, 2);
     Rng rng(1);
@@ -162,7 +163,8 @@ TEST(Hwl, RotationAdvancesEveryPeriod)
 {
     auto layout = std::make_shared<MetadataLayout>(
         MemoryGeometry{}, 1000);
-    auto inner = makeScheme(SchemeKind::Baseline, CrossbarParams{},
+    auto inner = makeScheme(SchemeKind::Baseline,
+                            cachedTimingModel(CrossbarParams{}),
                             layout, {});
     HorizontalWearScheme hwl(inner, 3);
     Addr addr = 128;
@@ -180,7 +182,8 @@ TEST(Hwl, RotationMovesBytesToDifferentMats)
 {
     auto layout = std::make_shared<MetadataLayout>(
         MemoryGeometry{}, 1000);
-    auto inner = makeScheme(SchemeKind::Baseline, CrossbarParams{},
+    auto inner = makeScheme(SchemeKind::Baseline,
+                            cachedTimingModel(CrossbarParams{}),
                             layout, {});
     HorizontalWearScheme hwl(inner, 1);
     LineData data = filledLine(0);
