@@ -8,9 +8,8 @@ registered parameter:
 
     python3 scripts/update_experiments_params.py [path/to/workload_sim]
 
-With --check, the file is not modified; the script exits 1 when the
-committed table differs from the registry (CI runs this to fail on a
-stale table).
+The gtest ParamRegistry.ExperimentsTableMatchesRegistry fails while
+the committed table differs from the registry.
 """
 
 import argparse
@@ -28,9 +27,6 @@ def main():
     parser.add_argument(
         "binary", nargs="?", default="build/examples/workload_sim",
         help="any registry-driven binary accepting --help-config=md")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if the committed table is stale; do not write")
     args = parser.parse_args()
 
     repo = pathlib.Path(__file__).resolve().parent.parent
@@ -58,9 +54,6 @@ def main():
     if updated == text:
         print("EXPERIMENTS.md parameter table is up to date")
         return
-    if args.check:
-        sys.exit("error: EXPERIMENTS.md parameter table is stale; "
-                 "run scripts/update_experiments_params.py")
     doc.write_text(updated)
     print(f"updated {doc}")
 

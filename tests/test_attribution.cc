@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,21 +181,39 @@ TEST(Attribution, LadderBlameTableDiffAndExitContract)
     const std::string b = (base / "b" / "trace").string();
 
     // Table mode: exit 0 and one row per component, in csv too.
+    const std::vector<std::string> components = {
+        "dep", "queue", "bank", "rcd", "base", "location", "content",
+        "scheme"};
     std::ostringstream out, err;
     EXPECT_EQ(ladderBlameMain({a}, out, err), 0) << err.str();
-    for (const char *component :
-         {"dep", "queue", "bank", "rcd", "base", "location",
-          "content", "scheme"})
+    for (const std::string &component : components)
         EXPECT_NE(out.str().find(component), std::string::npos)
             << out.str();
     out.str("");
     EXPECT_EQ(ladderBlameMain({a, "format=csv"}, out, err), 0);
-    EXPECT_EQ(out.str().rfind(
-                  "run,component,p50_ns,p99_ns,max_ns,mean_ns,"
-                  "share_pct\n",
-                  0),
-              0u)
-        << out.str();
+    std::istringstream csv(out.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(csv, line));
+    EXPECT_EQ(line,
+              "run,component,p50_ns,p99_ns,max_ns,mean_ns,share_pct");
+    // Every run lists the components in schema order, and its shares
+    // sum to 100% up to rounding.
+    std::map<std::string, std::vector<std::string>> runComponents;
+    std::map<std::string, double> runShare;
+    while (std::getline(csv, line)) {
+        std::vector<std::string> fields;
+        std::istringstream row(line);
+        for (std::string field; std::getline(row, field, ',');)
+            fields.push_back(field);
+        ASSERT_EQ(fields.size(), 7u) << line;
+        runComponents[fields[0]].push_back(fields[1]);
+        runShare[fields[0]] += std::stod(fields[6]);
+    }
+    EXPECT_EQ(runComponents.size(), 1u);
+    for (const auto &[run, got] : runComponents) {
+        EXPECT_EQ(got, components) << run;
+        EXPECT_NEAR(runShare[run], 100.0, 1.0) << run;
+    }
 
     // Diff: self-diff is clean (0); the injected shift flags (1).
     out.str("");

@@ -3,9 +3,9 @@
  * Tests for the declarative configuration spine: the typed parameter
  * registry, the layered resolver (defaults < config file < sweep
  * params < CLI), strict rejection of unknown/malformed/out-of-range
- * keys, sweep-spec parsing, dump/reload round-trips, and byte-exact
+ * keys, sweep-spec parsing, dump/reload round-trips, byte-exact
  * equivalence between file-driven and CLI-driven runs at any job
- * count.
+ * count, and the generated parameter table in EXPERIMENTS.md.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +23,8 @@
 #include "sim/config_resolve.hh"
 #include "sim/experiment.hh"
 
-#ifndef LADDER_EXAMPLES_DIR
-#error "LADDER_EXAMPLES_DIR must point at the committed examples/"
+#ifndef LADDER_SOURCE_DIR
+#error "LADDER_SOURCE_DIR must point at the repository root"
 #endif
 
 namespace fs = std::filesystem;
@@ -89,6 +89,9 @@ slurp(const fs::path &path)
     return os.str();
 }
 
+const fs::path configsDir =
+    fs::path(LADDER_SOURCE_DIR) / "examples" / "configs";
+
 TEST(ParamRegistry, DumpIsLoadableAndRoundTrips)
 {
     ExperimentConfig defaults;
@@ -102,6 +105,19 @@ TEST(ParamRegistry, DumpIsLoadableAndRoundTrips)
     ExperimentConfig reloaded;
     experimentRegistry().applyJson(reloaded, doc, "round-trip");
     EXPECT_EQ(first, dumpString(reloaded));
+
+    // A dump of a layered config (file plus CLI) reloaded through
+    // config= is a fixed point: dumping it again gives the same bytes.
+    const std::string quick =
+        "config=" + (configsDir / "ci-quick.json").string();
+    ResolvedExperiment fromFile =
+        resolve({quick.c_str(), "granularity=16"});
+    std::string layered = dumpString(fromFile.config);
+    ASSERT_TRUE(parseJson(layered).isObject());
+    std::string dumpArg =
+        "config=" + tempFile("dump1.json", layered).string();
+    ResolvedExperiment fromDump = resolve({dumpArg.c_str()});
+    EXPECT_EQ(layered, dumpString(fromDump.config));
 }
 
 TEST(ParamRegistry, PrecedenceFileThenCli)
@@ -444,6 +460,34 @@ TEST(ParamRegistry, DumpAndHelpFlagsAreRecognized)
     EXPECT_FALSE(resolve({}).dumpRequested);
 }
 
+TEST(ParamRegistry, ExperimentsTableMatchesRegistry)
+{
+    // The table between EXPERIMENTS.md's GENERATED PARAMS markers is
+    // what `workload_sim --help-config=md` prints.
+    const char *argv[] = {"workload_sim", "--help-config=md"};
+    ResolvedExperiment r =
+        resolveExperiment(2, argv, defaultExperimentConfig());
+    ASSERT_TRUE(r.helpRequested);
+    ASSERT_EQ(r.helpFormat, "md");
+    std::ostringstream table;
+    experimentRegistry().helpMarkdown(table, r.config);
+
+    const std::string doc =
+        slurp(fs::path(LADDER_SOURCE_DIR) / "EXPERIMENTS.md");
+    const std::string begin = "<!-- BEGIN GENERATED PARAMS "
+                              "(scripts/update_experiments_params.py) "
+                              "-->\n";
+    const std::size_t from = doc.find(begin);
+    const std::size_t to = doc.find("<!-- END GENERATED PARAMS -->");
+    ASSERT_NE(from, std::string::npos);
+    ASSERT_NE(to, std::string::npos);
+    ASSERT_LT(from, to);
+    EXPECT_EQ(doc.substr(from + begin.size(), to - from - begin.size()),
+              table.str())
+        << "EXPERIMENTS.md parameter table is stale; run "
+           "scripts/update_experiments_params.py";
+}
+
 TEST(ParamRegistry, ManifestScopeExcludesOutputAndVolatileKnobs)
 {
     ExperimentConfig cfg;
@@ -510,20 +554,19 @@ TEST(ParamRegistry, SystemTemplateReachesEveryCell)
 
 TEST(ParamRegistry, CommittedExampleConfigsResolve)
 {
-    const fs::path dir = fs::path(LADDER_EXAMPLES_DIR) / "configs";
-    std::string quick = "config=" + (dir / "ci-quick.json").string();
+    std::string quick = "config=" + (configsDir / "ci-quick.json").string();
     ResolvedExperiment r = resolve({quick.c_str()});
     EXPECT_EQ(r.config.warmupInstr, 60000u);
     EXPECT_EQ(r.config.measureInstr, 40000u);
     EXPECT_EQ(r.config.epochCycles, 10000u);
 
     std::string paper =
-        "config=" + (dir / "paper-table2.json").string();
+        "config=" + (configsDir / "paper-table2.json").string();
     ResolvedExperiment p = resolve({paper.c_str()});
     EXPECT_TRUE(p.config.system.paperScale);
     EXPECT_EQ(p.config.measureInstr, 500000000u);
 
-    std::string sweep = "sweep=" + (dir / "ci-sweep.json").string();
+    std::string sweep = "sweep=" + (configsDir / "ci-sweep.json").string();
     ResolvedExperiment s = resolve({sweep.c_str()});
     EXPECT_EQ(s.schemes,
               (std::vector<SchemeKind>{SchemeKind::Baseline,

@@ -202,9 +202,11 @@ TEST(Telemetry, OffByDefaultLeavesNoHeartbeatAndIdenticalStats)
     fs::path off = freshDir("ladder_telemetry_off");
     fs::path on = freshDir("ladder_telemetry_on");
 
+    // Windows long enough for the measured run to reach controller
+    // writes.
     ExperimentConfig cfg;
-    cfg.warmupInstr = 20'000;
-    cfg.measureInstr = 5'000;
+    cfg.warmupInstr = 60'000;
+    cfg.measureInstr = 40'000;
     cfg.cacheScale = 1.0 / 16.0;
     cfg.progress = "off";
 
@@ -225,6 +227,19 @@ TEST(Telemetry, OffByDefaultLeavesNoHeartbeatAndIdenticalStats)
         scope.noteCellDone();
     }
     EXPECT_TRUE(fs::exists(on / "stats" / heartbeatFileName));
+
+    // The publisher's final snapshot parses, counts the finished cell
+    // and carries the run's controller writes.
+    Heartbeat hb;
+    std::string error;
+    ASSERT_TRUE(readHeartbeatFile((on / "stats").string(), hb, error))
+        << error;
+    EXPECT_EQ(hb.cellsDone, 1u);
+    std::uint64_t writes = 0;
+    for (const auto &[name, value] : hb.counters)
+        if (name.starts_with("ctrl.ch") && name.ends_with(".writes"))
+            writes += value;
+    EXPECT_GT(writes, 0u);
 
     // The observability knob must not leak into simulation output:
     // stats.json bytes are identical with the publisher on or off.
