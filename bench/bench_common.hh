@@ -36,7 +36,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/log.hh"
@@ -56,6 +58,26 @@ struct BenchArgs
     bool workloadsExplicit = false;
     bool schemesExplicit = false;
 };
+
+/**
+ * Exit code for the exception a bench `main` is handling, called from
+ * its function-try-block's `catch (...)`: 2 for a fatal() anywhere
+ * (resolving the arguments, calibrating the circuit, running a cell),
+ * which has already printed its diagnostic. An OS error
+ * (std::system_error) or any other exception is rethrown, so it keeps
+ * the uncaught-exception report.
+ */
+inline int
+fatalExitCode()
+{
+    try {
+        throw;
+    } catch (const std::system_error &) {
+        throw;
+    } catch (const std::runtime_error &) {
+        return 2;
+    }
+}
 
 /**
  * Resolve the common bench arguments into @p cfg through the layered

@@ -78,7 +78,7 @@ measureTail(SchemeKind scheme, const std::string &workload,
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(
         argc, argv, cfg,
@@ -156,4 +156,6 @@ main(int argc, char **argv)
                 ok ? "PASS" : "FAIL", adv->second.p99Ns,
                 adv->second.maxNs);
     return ok ? 0 : 1;
+} catch (...) {
+    return fatalExitCode();
 }

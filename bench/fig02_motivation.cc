@@ -15,7 +15,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(
         argc, argv, cfg, singleWorkloadNames(),
@@ -38,4 +38,6 @@ main(int argc, char **argv)
                 "data/location-aware above 1.6x on write-bound "
                 "workloads\n");
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

@@ -19,7 +19,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg);
     rejectSweepSelection(
@@ -63,4 +63,6 @@ main(int argc, char **argv)
     std::printf("\npaper reference: far cell ~200 -> ~700 ns over the "
                 "sweep; near cell low and flat\n");
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

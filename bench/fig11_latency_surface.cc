@@ -44,7 +44,7 @@ printSurface(const WriteTimingTable &table, unsigned contentBucket)
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg);
     rejectSweepSelection(
@@ -108,4 +108,6 @@ main(int argc, char **argv)
         }
     }
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

@@ -15,7 +15,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args =
         parseBenchArgs(argc, argv, cfg, {}, paperSchemes());
@@ -38,4 +38,6 @@ main(int argc, char **argv)
         return r.avgWriteServiceNs;
     });
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

@@ -15,7 +15,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args =
         parseBenchArgs(argc, argv, cfg, {}, paperSchemes());
@@ -39,4 +39,6 @@ main(int argc, char **argv)
         return r.avgReadLatencyNs;
     });
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

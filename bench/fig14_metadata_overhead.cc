@@ -18,7 +18,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(
         argc, argv, cfg, {},
@@ -79,4 +79,6 @@ main(int argc, char **argv)
             show(lowRowsSweep[i], futures[i].get());
     }
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

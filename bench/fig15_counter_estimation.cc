@@ -19,7 +19,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg);
     rejectSchemeOverride(
@@ -68,4 +68,6 @@ main(int argc, char **argv)
                 "by shifting) is preserved.\n");
 
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

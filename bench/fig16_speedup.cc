@@ -21,7 +21,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args =
         parseBenchArgs(argc, argv, cfg, {}, paperSchemes());
@@ -135,4 +135,6 @@ main(int argc, char **argv)
                         futures[i].get().ipc);
     }
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

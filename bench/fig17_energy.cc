@@ -14,7 +14,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args =
         parseBenchArgs(argc, argv, cfg, {}, paperSchemes());
@@ -47,4 +47,6 @@ main(int argc, char **argv)
     std::printf("\npaper reference (total): Split-reset 0.67, BLP "
                 "0.66, LADDER-Basic 0.54, Est 0.52, Hybrid 0.47\n");
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

@@ -70,7 +70,7 @@ runWithWearLeveling(SchemeKind kind, const std::string &workload,
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg, {"lbm"});
     rejectSchemeOverride(
@@ -167,4 +167,6 @@ main(int argc, char **argv)
                 "%.1f%% (paper ~44%%)\n",
                 gainOverBase);
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

@@ -14,7 +14,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args =
         parseBenchArgs(argc, argv, cfg, singleWorkloadNames());
@@ -73,4 +73,6 @@ main(int argc, char **argv)
     std::printf("\npaper reference: the 8-bucket model costs < 3%% "
                 "vs a finer-grained one\n");
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

@@ -17,7 +17,7 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig cfg = defaultExperimentConfig();
     BenchArgs args = parseBenchArgs(argc, argv, cfg);
     rejectSweepSelection(
@@ -65,4 +65,6 @@ main(int argc, char **argv)
                     c.powerMw, c.latencyNs);
     }
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

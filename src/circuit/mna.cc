@@ -7,7 +7,6 @@
 #include "common/log.hh"
 #include "common/profiler.hh"
 #include "solvers.hh"
-#include "sparse.hh"
 
 namespace ladder
 {
@@ -120,69 +119,58 @@ CrossbarMna::solve(const std::vector<CellState> &pattern,
     const std::size_t maxPicard = 60;
     const double tol = 1e-7;
 
+    // Each Picard iteration linearizes every cell at the current drop,
+    // then runs one block Gauss-Seidel sweep over the two wire planes:
+    // every wordline is one tridiagonal system against the bitline
+    // voltages of the previous sweep, then every bitline is one
+    // against the wordline voltages just solved. Wire couplings are
+    // constant; the diagonals and right-hand sides are rebuilt per
+    // line, and the solution overwrites the right-hand side.
     std::vector<double> x = volts;
+    std::vector<double> g(n * m);
+    std::vector<double> wlSub(m, -gWire), wlDiag(m), wlSup(m, -gWire),
+        wlRhs(m);
+    std::vector<double> blSub(n, -gWire), blDiag(n), blSup(n, -gWire),
+        blRhs(n);
     for (std::size_t iter = 0; iter < maxPicard; ++iter) {
-        std::vector<Triplet> trip;
-        trip.reserve(10 * n * m);
-        std::vector<double> rhs(total, 0.0);
-
-        // Wordline wire segments and drivers.
-        for (std::size_t i = 0; i < n; ++i) {
-            double vSrc = (i == op.wordline) ? 0.0 : vb;
-            std::size_t n0 = wlNode(i, 0);
-            trip.push_back({n0, n0, gIn});
-            rhs[n0] += gIn * vSrc;
-            for (std::size_t j = 0; j + 1 < m; ++j) {
-                std::size_t a = wlNode(i, j);
-                std::size_t b = wlNode(i, j + 1);
-                trip.push_back({a, a, gWire});
-                trip.push_back({b, b, gWire});
-                trip.push_back({a, b, -gWire});
-                trip.push_back({b, a, -gWire});
-            }
-        }
-        // Bitline wire segments and drivers.
-        for (std::size_t j = 0; j < m; ++j) {
-            double vSrc = selectedBl[j] ? vw : vb;
-            std::size_t n0 = blNode(0, j);
-            trip.push_back({n0, n0, gOut});
-            rhs[n0] += gOut * vSrc;
-            for (std::size_t i = 0; i + 1 < n; ++i) {
-                std::size_t a = blNode(i, j);
-                std::size_t b = blNode(i + 1, j);
-                trip.push_back({a, a, gWire});
-                trip.push_back({b, b, gWire});
-                trip.push_back({a, b, -gWire});
-                trip.push_back({b, a, -gWire});
-            }
-        }
         // Cells: conductance linearized at the current voltage drop.
         for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t j = 0; j < m; ++j) {
-                std::size_t a = wlNode(i, j);
-                std::size_t b = blNode(i, j);
-                double drop = volts[b] - volts[a];
-                double g = cell_.conductance(states[i * m + j], drop);
+                double drop = volts[blNode(i, j)] - volts[wlNode(i, j)];
+                double gCell = cell_.conductance(states[i * m + j], drop);
                 // Half-selected cells carry the calibrated sneak
                 // scales (see CrossbarParams).
                 if (selectedBl[j] && i != op.wordline)
-                    g *= params_.blSneakScale;
+                    gCell *= params_.blSneakScale;
                 else if (i == op.wordline && !selectedBl[j])
-                    g *= params_.wlSneakScale;
-                trip.push_back({a, a, g});
-                trip.push_back({b, b, g});
-                trip.push_back({a, b, -g});
-                trip.push_back({b, a, -g});
+                    gCell *= params_.wlSneakScale;
+                g[i * m + j] = gCell;
             }
         }
 
-        SparseMatrix mat(total, std::move(trip));
-        CgResult cg = conjugateGradient(mat, rhs, x, 1e-11);
-        if (!cg.converged) {
-            // Every Picard iteration of every bucket would repeat
-            // this; one report per process is plenty.
-            warn_once("crossbar MNA: CG stalled at residual %g",
-                      cg.residualNorm);
+        // Wordlines: driver at column 0, cells to the bitline plane.
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < m; ++j) {
+                wlDiag[j] = g[i * m + j] + (j > 0 ? gWire : 0.0) +
+                            (j + 1 < m ? gWire : 0.0);
+                wlRhs[j] = g[i * m + j] * x[blNode(i, j)];
+            }
+            wlDiag[0] += gIn;
+            wlRhs[0] += gIn * ((i == op.wordline) ? 0.0 : vb);
+            solveTridiagonal(wlSub, wlDiag, wlSup, wlRhs);
+            std::copy(wlRhs.begin(), wlRhs.end(), x.begin() + wlNode(i, 0));
+        }
+        // Bitlines: driver at row 0, cells to the wordline plane.
+        for (std::size_t j = 0; j < m; ++j) {
+            for (std::size_t i = 0; i < n; ++i) {
+                blDiag[i] = g[i * m + j] + (i > 0 ? gWire : 0.0) +
+                            (i + 1 < n ? gWire : 0.0);
+                blRhs[i] = g[i * m + j] * x[wlNode(i, j)];
+            }
+            blDiag[0] += gOut;
+            blRhs[0] += gOut * (selectedBl[j] ? vw : vb);
+            solveTridiagonal(blSub, blDiag, blSup, blRhs);
+            std::copy(blRhs.begin(), blRhs.end(), x.begin() + blNode(0, j));
         }
 
         double maxDelta = 0.0;

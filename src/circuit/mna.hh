@@ -3,9 +3,10 @@
  * Full modified-nodal-analysis simulation of a ReRAM crossbar under the
  * V/2 write-biasing scheme (paper Fig. 1 and §5). Every wordline and
  * bitline is discretized into per-crosspoint nodes with wire parasitics;
- * cells couple the two planes through the nonlinear 1S1R law. The
- * resulting SPD conductance system is solved with preconditioned CG
- * inside a damped Picard iteration over the cell conductances.
+ * cells couple the two planes through the nonlinear 1S1R law. A damped
+ * Picard iteration linearizes the cell conductances; each iteration
+ * runs one block Gauss-Seidel sweep that solves every wordline, then
+ * every bitline, as a tridiagonal (Thomas) system.
  *
  * This is the reference ("HSPICE-accurate" in spirit) model. It is
  * O(rows*cols) unknowns per solve, so the memory-system simulator uses

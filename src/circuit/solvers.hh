@@ -1,10 +1,9 @@
 /**
  * @file
- * Linear solvers for the crossbar circuit simulation: Jacobi-
- * preconditioned conjugate gradient for the (SPD) MNA systems, dense
- * Gaussian elimination as a validation reference, and the Thomas
- * algorithm for the tridiagonal line systems of the fast sneak-path
- * model.
+ * Linear solvers for the crossbar circuit simulation: the Thomas
+ * algorithm for the tridiagonal wordline and bitline systems that both
+ * the full MNA and the fast sneak-path model solve, and dense Gaussian
+ * elimination as a validation reference.
  */
 
 #ifndef LADDER_CIRCUIT_SOLVERS_HH
@@ -14,18 +13,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "sparse.hh"
-
 namespace ladder
 {
-
-/** Outcome of an iterative solve. */
-struct CgResult
-{
-    bool converged = false;
-    std::size_t iterations = 0;
-    double residualNorm = 0.0;
-};
 
 /**
  * Nonlinear-solve effort a TimingModel carries for the fast-model
@@ -57,21 +46,6 @@ struct SolverCounters
         return *this;
     }
 };
-
-/**
- * Solve A x = b for SPD A with Jacobi-preconditioned conjugate gradient.
- *
- * @param a SPD system matrix.
- * @param b Right-hand side.
- * @param x In: initial guess (warm start). Out: solution.
- * @param tol Relative residual tolerance (||r|| / ||b||).
- * @param maxIter Iteration cap (0 means 10 * n).
- */
-CgResult conjugateGradient(const SparseMatrix &a,
-                           const std::vector<double> &b,
-                           std::vector<double> &x,
-                           double tol = 1e-10,
-                           std::size_t maxIter = 0);
 
 /**
  * Solve a dense system by Gaussian elimination with partial pivoting.

@@ -5,7 +5,7 @@
  * sim/profile_export). Disabled by default; when disabled, an
  * instrumented site costs exactly one relaxed atomic load and a
  * predictable branch — no clock read, no allocation, no lock — so the
- * macros can live on hot paths (CG inner solves, pool dispatch)
+ * macros can live on hot paths (circuit solves, pool dispatch)
  * without perturbing production runs, and golden outputs stay
  * byte-identical.
  *

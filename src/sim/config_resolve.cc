@@ -288,10 +288,10 @@ registerExperimentParams(Registry &reg)
                   "Wordline driver resistance", 0.0, 1e6);
     reg.addDouble("xbar.output-ohms",
                   LADDER_FIELD(system.crossbar.outputOhms),
-                  "Bitline driver resistance", 0.0, 1e6);
+                  "Bitline driver resistance", 1e-3, 1e6);
     reg.addDouble("xbar.wire-ohms",
                   LADDER_FIELD(system.crossbar.wireOhms),
-                  "Per-segment wire resistance", 0.0, 1e4);
+                  "Per-segment wire resistance", 1e-3, 1e4);
     reg.addDouble("xbar.write-volts",
                   LADDER_FIELD(system.crossbar.writeVolts),
                   "RESET voltage", 0.1, 10.0);

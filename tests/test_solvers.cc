@@ -1,8 +1,6 @@
-/** @file Tests for the linear solvers (CG, dense, tridiagonal). */
+/** @file Tests for the linear solvers (dense, tridiagonal). */
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "circuit/solvers.hh"
 #include "common/rng.hh"
@@ -11,82 +9,6 @@ namespace ladder
 {
 namespace
 {
-
-/** Random SPD matrix as A = B^T B + n*I, returned as triplets. */
-std::vector<Triplet>
-randomSpd(std::size_t n, Rng &rng)
-{
-    std::vector<double> b(n * n);
-    for (auto &v : b)
-        v = rng.nextDouble() - 0.5;
-    std::vector<Triplet> trip;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < n; ++k)
-                acc += b[k * n + i] * b[k * n + j];
-            if (i == j)
-                acc += static_cast<double>(n);
-            trip.push_back({i, j, acc});
-        }
-    }
-    return trip;
-}
-
-class CgVsDense : public ::testing::TestWithParam<std::size_t>
-{
-};
-
-TEST_P(CgVsDense, Agree)
-{
-    std::size_t n = GetParam();
-    Rng rng(37 + n);
-    SparseMatrix a(n, randomSpd(n, rng));
-    std::vector<double> rhs(n);
-    for (auto &v : rhs)
-        v = rng.nextDouble() * 2.0 - 1.0;
-
-    std::vector<double> x;
-    CgResult result = conjugateGradient(a, rhs, x, 1e-12);
-    EXPECT_TRUE(result.converged);
-
-    std::vector<double> dense = a.toDense();
-    std::vector<double> ref = rhs;
-    denseSolveInPlace(dense, ref, n);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(x[i], ref[i], 1e-7) << "component " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, CgVsDense,
-                         ::testing::Values(1, 2, 5, 10, 25, 60));
-
-TEST(Cg, WarmStartConverges)
-{
-    Rng rng(5);
-    const std::size_t n = 20;
-    SparseMatrix a(n, randomSpd(n, rng));
-    std::vector<double> rhs(n, 1.0);
-    std::vector<double> x;
-    conjugateGradient(a, rhs, x, 1e-12);
-    // Warm start from the solution converges immediately.
-    std::vector<double> x2 = x;
-    CgResult again = conjugateGradient(a, rhs, x2, 1e-10);
-    EXPECT_TRUE(again.converged);
-    EXPECT_LE(again.iterations, 1u);
-}
-
-TEST(Cg, ZeroRhsGivesZero)
-{
-    Rng rng(6);
-    const std::size_t n = 8;
-    SparseMatrix a(n, randomSpd(n, rng));
-    std::vector<double> rhs(n, 0.0);
-    std::vector<double> x(n, 3.0);
-    CgResult result = conjugateGradient(a, rhs, x, 1e-12);
-    EXPECT_TRUE(result.converged);
-    for (double v : x)
-        EXPECT_NEAR(v, 0.0, 1e-8);
-}
 
 TEST(DenseSolve, PivotingHandlesZeroDiagonal)
 {
@@ -133,137 +55,6 @@ TEST(Tridiagonal, SingleElement)
     solveTridiagonal(sub, diag, sup, rhs);
     EXPECT_DOUBLE_EQ(rhs[0], 3.0);
 }
-
-/**
- * Differential check between the two MNA solve paths: assemble the
- * crossbar conductance system exactly the way CrossbarMna::solve
- * linearizes it (wordline/bitline wire chains, driver conductances,
- * random per-cell couplings between the two planes) and require the
- * Jacobi-preconditioned CG solution to agree with the dense direct
- * solver to tight tolerance.
- */
-struct CrossbarSystem
-{
-    std::vector<Triplet> triplets;
-    std::vector<double> rhs;
-    std::size_t unknowns = 0;
-};
-
-CrossbarSystem
-randomCrossbarSystem(std::size_t rows, std::size_t cols, Rng &rng)
-{
-    // Electrical scales mirror CrossbarParams: ~3.3 V drivers, wire
-    // segments of a few ohms, cells between LRS (~25 kOhm) and HRS
-    // (~2.5 MOhm) with selector-suppressed conductance in between.
-    const double vw = 3.3;
-    const double vb = vw / 2.0;
-    const double gWire = 1.0 / (2.5 + 2.5 * rng.nextDouble());
-    const double gIn = 1.0 / (100.0 + 100.0 * rng.nextDouble());
-    const double gOut = 1.0 / (100.0 + 100.0 * rng.nextDouble());
-    const std::size_t selWl = rng.nextBounded(rows);
-    const std::size_t selBl = rng.nextBounded(cols);
-
-    auto wlNode = [cols](std::size_t i, std::size_t j) {
-        return i * cols + j;
-    };
-    auto blNode = [rows, cols](std::size_t i, std::size_t j) {
-        return rows * cols + j * rows + i;
-    };
-
-    CrossbarSystem sys;
-    sys.unknowns = 2 * rows * cols;
-    sys.rhs.assign(sys.unknowns, 0.0);
-
-    for (std::size_t i = 0; i < rows; ++i) {
-        double vSrc = i == selWl ? 0.0 : vb;
-        std::size_t n0 = wlNode(i, 0);
-        sys.triplets.push_back({n0, n0, gIn});
-        sys.rhs[n0] += gIn * vSrc;
-        for (std::size_t j = 0; j + 1 < cols; ++j) {
-            std::size_t a = wlNode(i, j);
-            std::size_t b = wlNode(i, j + 1);
-            sys.triplets.push_back({a, a, gWire});
-            sys.triplets.push_back({b, b, gWire});
-            sys.triplets.push_back({a, b, -gWire});
-            sys.triplets.push_back({b, a, -gWire});
-        }
-    }
-    for (std::size_t j = 0; j < cols; ++j) {
-        double vSrc = j == selBl ? vw : vb;
-        std::size_t n0 = blNode(0, j);
-        sys.triplets.push_back({n0, n0, gOut});
-        sys.rhs[n0] += gOut * vSrc;
-        for (std::size_t i = 0; i + 1 < rows; ++i) {
-            std::size_t a = blNode(i, j);
-            std::size_t b = blNode(i + 1, j);
-            sys.triplets.push_back({a, a, gWire});
-            sys.triplets.push_back({b, b, gWire});
-            sys.triplets.push_back({a, b, -gWire});
-            sys.triplets.push_back({b, a, -gWire});
-        }
-    }
-    // Cells: log-uniform conductance across the LRS..HRS range, the
-    // spread the Picard iteration's linearized systems actually span.
-    for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < cols; ++j) {
-            double logG = -std::log(2.5e6) +
-                          rng.nextDouble() *
-                              (std::log(2.5e6) - std::log(2.5e4));
-            double g = std::exp(logG);
-            std::size_t a = wlNode(i, j);
-            std::size_t b = blNode(i, j);
-            sys.triplets.push_back({a, a, g});
-            sys.triplets.push_back({b, b, g});
-            sys.triplets.push_back({a, b, -g});
-            sys.triplets.push_back({b, a, -g});
-        }
-    }
-    return sys;
-}
-
-struct MnaShape
-{
-    std::size_t rows;
-    std::size_t cols;
-};
-
-class CgVsDenseCrossbar : public ::testing::TestWithParam<MnaShape>
-{
-};
-
-TEST_P(CgVsDenseCrossbar, MnaPathsAgree)
-{
-    auto [rows, cols] = GetParam();
-    Rng rng(0x5eed0000 + rows * 64 + cols);
-    for (int trial = 0; trial < 3; ++trial) {
-        CrossbarSystem sys = randomCrossbarSystem(rows, cols, rng);
-        SparseMatrix a(sys.unknowns, sys.triplets);
-
-        std::vector<double> x;
-        CgResult cg = conjugateGradient(a, sys.rhs, x, 1e-12);
-        EXPECT_TRUE(cg.converged)
-            << rows << "x" << cols << " trial " << trial
-            << " residual " << cg.residualNorm;
-
-        std::vector<double> dense = a.toDense();
-        std::vector<double> ref = sys.rhs;
-        denseSolveInPlace(dense, ref, sys.unknowns);
-
-        // Node voltages are O(1) volts; 1e-6 V agreement is far
-        // below any physical significance in the timing model.
-        for (std::size_t k = 0; k < sys.unknowns; ++k)
-            ASSERT_NEAR(x[k], ref[k], 1e-6)
-                << rows << "x" << cols << " trial " << trial
-                << " node " << k;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, CgVsDenseCrossbar,
-                         ::testing::Values(MnaShape{4, 4},
-                                           MnaShape{8, 8},
-                                           MnaShape{8, 16},
-                                           MnaShape{16, 8},
-                                           MnaShape{16, 16}));
 
 } // namespace
 } // namespace ladder
