@@ -163,7 +163,9 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
                    (vw - newBl[0]);
 
         // --- Cell current update with damping. ---
+        // std::max drops a NaN delta, so finiteness is tracked apart.
         double maxDelta = 0.0;
+        bool finite = true;
         for (std::size_t k = 0; k < nSel; ++k) {
             double drop = blAtSel - newWl[blBase + k];
             double iNew = cell_.current(CellState::LRS, drop);
@@ -171,21 +173,30 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
                 damping * cellCurrent[k] + (1.0 - damping) * iNew;
             maxDelta =
                 std::max(maxDelta, std::abs(iNext - cellCurrent[k]));
+            finite = finite && std::isfinite(iNext);
             cellCurrent[k] = iNext;
             drops[k] = std::abs(drop);
         }
         for (std::size_t j = 0; j < m; ++j) {
             double next = damping * vWl[j] + (1.0 - damping) * newWl[j];
             maxDelta = std::max(maxDelta, std::abs(next - vWl[j]));
+            finite = finite && std::isfinite(next);
             vWl[j] = next;
         }
         for (std::size_t i = 0; i < n; ++i) {
             double next = damping * vBl[i] + (1.0 - damping) * newBl[i];
             maxDelta = std::max(maxDelta, std::abs(next - vBl[i]));
+            finite = finite && std::isfinite(next);
             vBl[i] = next;
         }
 
         eval.iterations = iter + 1;
+        if (!finite) {
+            // Diverged: not converged, and no drop is meaningful.
+            std::fill(drops.begin(), drops.end(),
+                      std::numeric_limits<double>::quiet_NaN());
+            break;
+        }
         // Current scale is ~1e-4 A, voltage ~1 V; a combined absolute
         // tolerance works for both.
         if (maxDelta < tol) {

@@ -173,13 +173,18 @@ CrossbarMna::solve(const std::vector<CellState> &pattern,
             std::copy(blRhs.begin(), blRhs.end(), x.begin() + blNode(0, j));
         }
 
+        // std::max drops a NaN delta, so finiteness is tracked apart.
         double maxDelta = 0.0;
+        bool finite = true;
         for (std::size_t k = 0; k < total; ++k) {
             double next = 0.5 * volts[k] + 0.5 * x[k];
             maxDelta = std::max(maxDelta, std::abs(next - volts[k]));
+            finite = finite && std::isfinite(next);
             volts[k] = next;
         }
         sol.picardIterations = iter + 1;
+        if (!finite)
+            break; // diverged: not converged
         if (maxDelta < tol) {
             sol.converged = true;
             break;

@@ -39,7 +39,8 @@ struct ResetEvaluation
     double maxDropVolts = 0.0;      //!< best |Vd| among selected cells
     double sourcePowerWatts = 0.0;  //!< total power from all sources
     std::size_t iterations = 0;     //!< nonlinear iterations used
-    bool converged = false;
+    bool converged = false;         //!< a diverged (non-finite)
+                                    //!< iterate leaves NaN drops
 };
 
 } // namespace ladder

@@ -1,6 +1,8 @@
 #include "backing_store.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "common/log.hh"
 
@@ -19,6 +21,22 @@ static_assert(MemoryGeometry::matsPerGroup == lineBytes,
 /** The even byte lanes of a word, each widened to 16 bits. */
 constexpr std::uint64_t evenLanes = 0x00ff00ff00ff00ffull;
 
+/**
+ * Each nibble value's bits spread one per 16-bit lane. Adding the
+ * spreads of a mat byte's low and high nibble to that mat's 8
+ * contiguous bitline counters, read as two little-endian words,
+ * counts every set bit at once. No lane carries while a count, at
+ * most the background rows plus the group's pages (2 x
+ * geom.mat-rows), stays below 65,536; the constructor enforces it.
+ */
+constexpr std::array<std::uint64_t, 16> nibbleSpread = [] {
+    std::array<std::uint64_t, 16> s{};
+    for (unsigned v = 0; v < 16; ++v)
+        for (unsigned k = 0; k < 4; ++k)
+            s[v] |= static_cast<std::uint64_t>((v >> k) & 1) << (16 * k);
+    return s;
+}();
+
 } // anonymous namespace
 
 BackingStore::BackingStore(const MemoryGeometry &geo, bool trackBitlines,
@@ -34,6 +52,8 @@ BackingStore::BackingStore(const MemoryGeometry &geo, bool trackBitlines,
     ladder_assert(backgroundDensity >= 0.0 && backgroundDensity <= 1.0,
                   "background density out of range");
     ladder_assert(geo_.channels > 0, "geometry needs >= 1 channel");
+    ladder_assert(!trackBitlines || 2 * geo_.matRows <= 65535,
+                  "16-bit bitline counters need geom.mat-rows <= 32767");
 }
 
 void
@@ -120,7 +140,8 @@ BackingStore::materialize(Addr lineAddr)
         }
     }
     if (trackBitlines_) {
-        // Fold the initial content into the bitline counters.
+        // Fold the initial content into the bitline counters, 4 bits
+        // of a mat byte per lane add.
         content.bitlines = groupCounters(loc);
         for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
             const LineData &block = content.blocks[b];
@@ -128,14 +149,11 @@ BackingStore::materialize(Addr lineAddr)
                 content.bitlines + b * bitlinesPerBlock;
             for (unsigned mat = 0; mat < MemoryGeometry::matsPerGroup;
                  ++mat) {
-                std::uint8_t byte = block[mat];
-                while (byte) {
-                    unsigned bit =
-                        static_cast<unsigned>(std::countr_zero(byte));
-                    byte = static_cast<std::uint8_t>(byte &
-                                                     (byte - 1));
-                    ++counts[mat * 8 + bit];
-                }
+                std::uint64_t lanes[2];
+                std::memcpy(lanes, counts + mat * 8, sizeof(lanes));
+                lanes[0] += nibbleSpread[block[mat] & 15];
+                lanes[1] += nibbleSpread[block[mat] >> 4];
+                std::memcpy(counts + mat * 8, lanes, sizeof(lanes));
             }
         }
     }

@@ -27,6 +27,13 @@
  * a wordline, so the layout assumes 512-column mats (the resolver
  * rejects any other geom.mat-cols).
  *
+ * Counter upkeep. First touch folds a page's content into the bitline
+ * counters with lane adds: a table spreads each mat byte's bits into
+ * 16-bit lanes, and two 64-bit adds update that mat's 8 contiguous
+ * counters, whatever the byte's popcount. write() instead walks only
+ * the bits that flip: an overwrite usually flips few, so the
+ * changed-bit loop beats a lane subtract-and-add of both payloads.
+ *
  * Callers on a hot path resolve an address once with line() and pass
  * the StoreLine handle to the read/write/counter calls; the address
  * overloads are one-line wrappers that resolve on every call.

@@ -258,7 +258,8 @@ registerExperimentParams(Registry &reg)
         "64-mat groups per bank (a multiple of 4)", 1, 1024);
     reg.addInt<unsigned>("geom.mat-rows",
                          LADDER_FIELD(system.geometry.matRows),
-                         "Wordlines per mat", 8, 65536);
+                         "Wordlines per mat (16-bit bitline counters)", 8,
+                         32767);
     reg.addInt<unsigned>("geom.mat-cols",
                          LADDER_FIELD(system.geometry.matCols),
                          "Bitlines per mat (must be 512)", 8, 65536);

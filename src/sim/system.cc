@@ -334,6 +334,12 @@ System::run(std::uint64_t warmupInstr, std::uint64_t measureInstr)
         writeServCount ? writeServWeighted / writeServCount : 0.0;
     result.avgWriteTwrNs =
         writeServCount ? writeTwrWeighted / writeServCount : 0.0;
+    result.degenerate = result.dataReads == 0 || result.dataWrites == 0;
+    if (result.degenerate)
+        warn("degenerate run: the measured window has %llu demand reads "
+             "and %llu data writes",
+             static_cast<unsigned long long>(result.dataReads),
+             static_cast<unsigned long long>(result.dataWrites));
 
     if (auto *est = dynamic_cast<LadderEstScheme *>(scheme_.get())) {
         result.estCounterDiffMean = est->counterDiff.mean();

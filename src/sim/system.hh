@@ -97,6 +97,11 @@ struct SimResult
     double estimatedCwMean = 0.0;
     double accurateCwMean = 0.0;
     double spillInsertions = 0.0;
+    /**
+     * The measured window saw no demand read or no data write, so a
+     * per-request average is empty. Warned about, not exported.
+     */
+    bool degenerate = false;
 };
 
 /** The assembled machine. */

@@ -292,6 +292,76 @@ TEST(BackingStore, SelectedBitlinesMatchBruteForceCount)
     }
 }
 
+TEST(BackingStore, FirstTouchFoldMatchesBitReference)
+{
+    // Four pages of one mat group whose 256 blocks put every byte
+    // value in every mat position. Every one of the group's counters
+    // must equal the background plus a bit-by-bit recount over the
+    // pages, after first touch and again after random writes, with
+    // the counters starting at both ends of the background range.
+    MemoryGeometry geo;
+    AddressMap map(geo);
+    constexpr unsigned pageCount = 4;
+    std::vector<Addr> pages;
+    for (unsigned k = 0; k < pageCount; ++k) {
+        BlockLocation loc = map.decode(0);
+        loc.wordline = (loc.wordline + k) % geo.matRows;
+        pages.push_back(map.encode(loc));
+    }
+    auto slotOf = [&](std::uint64_t pageIndex) {
+        for (unsigned k = 0; k < pageCount; ++k)
+            if (map.pageOf(pages[k]) == pageIndex)
+                return k;
+        ADD_FAILURE() << "page " << pageIndex << " is not in the group";
+        return 0u;
+    };
+
+    for (double density : {0.0, 1.0}) {
+        SCOPED_TRACE(density);
+        BackingStore store(geo, true, density);
+        // k * 64 + b runs over 0-255, so each mat sees every byte value.
+        store.setPageInitializer([&](std::uint64_t page, PageContent &c) {
+            const unsigned k = slotOf(page);
+            for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b)
+                for (unsigned mat = 0; mat < 64; ++mat)
+                    c.blocks[b][mat] =
+                        static_cast<std::uint8_t>(k * 64 + b + mat);
+        });
+        const auto background = static_cast<unsigned>(
+            density * static_cast<double>(geo.matRows));
+        auto expectCountersMatch = [&] {
+            const std::uint16_t *counters = store.line(pages[0]).page->bitlines;
+            for (unsigned b = 0; b < MemoryGeometry::blocksPerPage; ++b) {
+                for (unsigned mat = 0; mat < 64; ++mat) {
+                    for (unsigned bit = 0; bit < 8; ++bit) {
+                        unsigned expect = background;
+                        for (Addr page : pages)
+                            expect += (store.read(page + b * lineBytes)[mat] >>
+                                       bit) & 1;
+                        ASSERT_EQ(counters[(b * 64 + mat) * 8 + bit], expect)
+                            << "block " << b << " mat " << mat << " bit "
+                            << bit;
+                    }
+                }
+            }
+        };
+
+        for (Addr page : pages)
+            store.line(page);
+        for (Addr page : pages)
+            ASSERT_EQ(store.line(page).page->bitlines,
+                      store.line(pages[0]).page->bitlines);
+        expectCountersMatch();
+
+        Rng rng(21);
+        for (int i = 0; i < 2000; ++i)
+            store.write(pages[rng.nextBounded(pageCount)] +
+                            rng.nextBounded(64) * lineBytes,
+                        randomLine(rng));
+        expectCountersMatch();
+    }
+}
+
 TEST(BackingStore, PageIndexSurvivesGrowth)
 {
     // Far more pages than the index's initial 1024 slots, touched in a

@@ -5,6 +5,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <cmath>
 
 #include <tuple>
 
@@ -133,6 +134,20 @@ TEST(FastModel, FullSizeConverges)
     EXPECT_TRUE(eval.converged);
     EXPECT_GT(eval.minDropVolts, 1.0);
     EXPECT_LT(eval.minDropVolts, p.writeVolts);
+}
+
+TEST(FastModel, NonFiniteIterateIsNotConverged)
+{
+    // At 10 ohm per segment, inside the registry's range, the damped
+    // loop's worst-case iterate diverges to NaN; that is a failure to
+    // converge, not a converged drop; the drops it leaves are NaN, so
+    // calibration's finiteness check rejects them.
+    CrossbarParams p;
+    p.wireOhms = 10.0;
+    SneakPathModel fast(p);
+    ResetEvaluation eval = fast.evaluate({511, 63, 512, 512});
+    EXPECT_FALSE(eval.converged);
+    EXPECT_TRUE(std::isnan(eval.minDropVolts));
 }
 
 TEST(FastModel, UncalibratedScalesMatchMnaToo)

@@ -34,6 +34,7 @@ TEST_P(SystemScheme, RunsToCompletion)
     EXPECT_LT(r.ipc, 4.0);
     EXPECT_GT(r.dataReads, 100u);
     EXPECT_GT(r.dataWrites, 10u);
+    EXPECT_FALSE(r.degenerate);
     EXPECT_GT(r.avgReadLatencyNs, 20.0);
     EXPECT_GE(r.avgWriteTwrNs, 29.0);
     EXPECT_LE(r.avgWriteTwrNs, 2 * 658.0);
