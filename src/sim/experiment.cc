@@ -147,7 +147,7 @@ cellConfig(SchemeKind scheme, const std::string &workload,
         const std::string source =
             "sweep cell " + runDirName(scheme, workload);
         validateCacheGeometry(effective.system.caches, source);
-        validateMemoryGeometry(effective.system.geometry, source);
+        validateMemoryGeometry(effective.system, source);
     }
     return effective;
 }

@@ -10,6 +10,9 @@
 #include <set>
 #include <sstream>
 
+#include "ctrl/controller.hh"
+#include "ctrl/trace_reader.hh"
+
 namespace ladder
 {
 
@@ -112,30 +115,159 @@ flattenSweepJson(const JsonValue &doc)
     return out;
 }
 
-/** Resolve a CLI path argument to the stats file it names. */
+/**
+ * Nearest-rank percentile of sorted per-write ticks, in ns —
+ * deterministic, no interpolation, matching the histogram exports.
+ */
+double
+percentileNs(const std::vector<std::int32_t> &sorted, double q)
+{
+    if (sorted.empty())
+        return 0.0;
+    auto index = static_cast<std::size_t>(
+        std::llround(q * static_cast<double>(sorted.size() - 1)));
+    return static_cast<double>(sorted[index]) / 1000.0;
+}
+
+/**
+ * Reduce the attribution trace @p file to its per-write blame
+ * profile, adding blame.writes and
+ * blame.<component>.{p50_ns,p99_ns,max_ns,mean_ns,share_pct} under
+ * @p prefix. A trace without the attribution block is an error: the
+ * caller asked a blame question of a blame-free run.
+ */
 bool
-resolveStatsFile(const std::string &path, std::string &file,
-                 std::string &error)
+flattenBlameTrace(const std::string &file, const std::string &prefix,
+                  std::map<std::string, double> &out,
+                  std::string &error)
+{
+    TraceReader reader;
+    if (!reader.open(file)) {
+        error = file + ": " + reader.error();
+        return false;
+    }
+    if (!reader.attribution()) {
+        error = file +
+                ": trace has no attribution block (rerun the sweep "
+                "with trace.attribution=1)";
+        return false;
+    }
+    std::vector<std::int32_t> ticks[blameComponentCount];
+    double sums[blameComponentCount] = {};
+    CtrlTraceRecord rec;
+    while (reader.next(rec)) {
+        if (rec.kind != CtrlTraceRecord::Kind::Write)
+            continue;
+        const std::int32_t components[blameComponentCount] = {
+            rec.attr.depTicks,     rec.attr.queueTicks,
+            rec.attr.bankTicks,    rec.attr.rcdTicks,
+            rec.attr.baseTicks,    rec.attr.locationTicks,
+            rec.attr.contentTicks, rec.attr.schemeTicks};
+        for (unsigned c = 0; c < blameComponentCount; ++c) {
+            ticks[c].push_back(components[c]);
+            sums[c] += static_cast<double>(components[c]) / 1000.0;
+        }
+    }
+    if (!reader.ok()) {
+        error = file + ": " + reader.error();
+        return false;
+    }
+    const double writes = static_cast<double>(ticks[0].size());
+    double totalBlame = 0.0;
+    for (double sum : sums)
+        totalBlame += sum;
+    out[prefix + "blame.writes"] = writes;
+    for (unsigned c = 0; c < blameComponentCount; ++c) {
+        std::vector<std::int32_t> &sorted = ticks[c];
+        std::sort(sorted.begin(), sorted.end());
+        const std::string name =
+            prefix + "blame." + blameComponentNames()[c] + ".";
+        out[name + "p50_ns"] = percentileNs(sorted, 0.50);
+        out[name + "p99_ns"] = percentileNs(sorted, 0.99);
+        out[name + "max_ns"] =
+            sorted.empty() ? 0.0
+                           : static_cast<double>(sorted.back()) / 1000.0;
+        out[name + "mean_ns"] = writes == 0.0 ? 0.0 : sums[c] / writes;
+        out[name + "share_pct"] =
+            totalBlame == 0.0 ? 0.0 : sums[c] / totalBlame * 100.0;
+    }
+    return true;
+}
+
+/** trace.csv / trace.bin inside @p dir, or empty when absent. */
+std::string
+traceFileIn(const std::filesystem::path &dir)
+{
+    for (const char *name : {"trace.csv", "trace.bin"}) {
+        std::filesystem::path candidate = dir / name;
+        std::error_code ec;
+        if (std::filesystem::is_regular_file(candidate, ec))
+            return candidate.string();
+    }
+    return {};
+}
+
+/**
+ * Flatten one file: a JSON object is a sweep.json/stats.json
+ * document, anything else an attribution trace.
+ */
+bool
+flattenFile(const std::string &file, std::map<std::string, double> &out,
+            std::string &error)
+{
+    std::ifstream is(file);
+    if (!is.good()) {
+        error = file + ": cannot open";
+        return false;
+    }
+    if ((is >> std::ws).peek() != '{')
+        return flattenBlameTrace(file, "", out, error);
+    std::ostringstream text;
+    text << is.rdbuf();
+    out = flattenStatsDocument(parseJson(text.str()));
+    if (out.empty()) {
+        error = file + ": no numeric stats found "
+                       "(not a sweep.json/stats.json?)";
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Flatten a directory: its sweep.json or stats.json when it holds
+ * one, else its own trace (a run directory), else the traces of its
+ * run subdirectories (a trace-out sweep), each under a "<run>." prefix.
+ */
+bool
+flattenDirectory(const std::string &path,
+                 std::map<std::string, double> &out, std::string &error)
 {
     namespace fs = std::filesystem;
     std::error_code ec;
-    if (fs::is_directory(path, ec)) {
-        for (const char *name : {"sweep.json", "stats.json"}) {
-            fs::path candidate = fs::path(path) / name;
-            if (fs::is_regular_file(candidate, ec)) {
-                file = candidate.string();
-                return true;
-            }
-        }
-        error = path + ": no sweep.json or stats.json inside";
+    for (const char *name : {"sweep.json", "stats.json"}) {
+        fs::path candidate = fs::path(path) / name;
+        if (fs::is_regular_file(candidate, ec))
+            return flattenFile(candidate.string(), out, error);
+    }
+    const std::string trace = traceFileIn(path);
+    if (!trace.empty())
+        return flattenBlameTrace(trace, "", out, error);
+    // Deterministic order regardless of directory enumeration.
+    std::vector<fs::path> runs;
+    for (const auto &entry : fs::directory_iterator(path, ec))
+        if (entry.is_directory() && !traceFileIn(entry.path()).empty())
+            runs.push_back(entry.path());
+    std::sort(runs.begin(), runs.end());
+    if (runs.empty()) {
+        error = path + ": no sweep.json, stats.json or trace inside";
         return false;
     }
-    if (fs::is_regular_file(path, ec)) {
-        file = path;
-        return true;
-    }
-    error = path + ": no such file or directory";
-    return false;
+    for (const fs::path &run : runs)
+        if (!flattenBlameTrace(traceFileIn(run),
+                               run.filename().string() + ".", out,
+                               error))
+            return false;
+    return true;
 }
 
 std::string
@@ -320,11 +452,15 @@ usage(std::ostream &err)
            "       ladder_query diff [GLOB] BASE OTHER "
            "[threshold=REL] [format=FMT]\n"
            "PATH: a sweep.json/stats.json file or a directory "
-           "holding one.\n"
+           "holding one, or an\nattribution trace "
+           "(trace.attribution=1): a trace file, a run directory\n"
+           "holding one, or a trace-out directory of run "
+           "directories.\n"
            "GLOB: stat-name filter with * and ? (quote it). diff "
            "exits 1\n"
            "when any selected stat moves by more than REL (default "
-           "0.02)\nrelative to BASE.\n"
+           "0.02)\nrelative to BASE, and 2 when no selected stat is "
+           "in both.\n"
            "FMT: table (default), csv, or json.\n"
            "--list-stats: print the glob-selected stat names of the "
            "merged\ntable, one per line (discover names for GLOB "
@@ -376,26 +512,16 @@ bool
 loadStatSource(const std::string &path, StatSource &out,
                std::string &error)
 {
-    std::string file;
-    if (!resolveStatsFile(path, file, error))
-        return false;
-    std::ifstream is(file);
-    if (!is.good()) {
-        error = file + ": cannot open";
-        return false;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
     out.label = path;
     while (out.label.size() > 1 && out.label.back() == '/')
         out.label.pop_back();
-    out.values = flattenStatsDocument(parseJson(text.str()));
-    if (out.values.empty()) {
-        error = file + ": no numeric stats found "
-                       "(not a sweep.json/stats.json?)";
-        return false;
-    }
-    return true;
+    std::error_code ec;
+    if (std::filesystem::is_directory(path, ec))
+        return flattenDirectory(path, out.values, error);
+    if (std::filesystem::is_regular_file(path, ec))
+        return flattenFile(path, out.values, error);
+    error = path + ": no such file or directory";
+    return false;
 }
 
 std::vector<StatDiff>
@@ -519,6 +645,14 @@ ladderQueryMain(const std::vector<std::string> &args,
 
     std::vector<StatDiff> diffs =
         diffStatSources(sources[0], sources[1], glob, threshold);
+    // A glob typo or disjoint inputs must not pass the gate vacuously.
+    if (diffs.empty()) {
+        err << "ladder_query: no stats in common between '"
+            << sources[0].label << "' and '" << sources[1].label
+            << "'" << (glob.empty() ? "" : " matching '" + glob + "'")
+            << "\n";
+        return 2;
+    }
     std::size_t flagged = 0;
     for (const StatDiff &d : diffs)
         if (d.flagged)
@@ -532,7 +666,6 @@ ladderQueryMain(const std::vector<std::string> &args,
                       flagged);
         return flagged == 0 ? 0 : 1;
     }
-    flagged = 0;
     std::size_t nameWidth = 4;
     for (const StatDiff &d : diffs)
         nameWidth = std::max(nameWidth, d.name.size());
@@ -549,10 +682,8 @@ ladderQueryMain(const std::vector<std::string> &args,
             << std::fixed << std::setprecision(2)
             << d.relDelta * 100.0 << "%";
         out.unsetf(std::ios::floatfield);
-        if (d.flagged) {
+        if (d.flagged)
             out << "  REGRESSION";
-            ++flagged;
-        }
         out << "\n";
     }
     out << "(" << diffs.size() << " stats compared, " << flagged

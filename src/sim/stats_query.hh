@@ -1,9 +1,11 @@
 /**
  * @file
  * Cross-run stats querying: load any number of sweep.json /
- * stats.json files (see stats_export.hh for the schemas), flatten
- * each into a dotted-name -> value map, select names with shell-style
- * globs, and diff two runs with a relative regression threshold.
+ * stats.json files (see stats_export.hh for the schemas) or
+ * attribution traces (trace.attribution=1; see trace_sink.hh),
+ * flatten each into a dotted-name -> value map, select names with
+ * shell-style globs, and diff two runs with a relative regression
+ * threshold.
  * This is the engine behind the `ladder_query` CLI; it lives in the
  * library so tests can drive the exact merge/select/diff logic (and
  * the CLI exit codes) against committed fixtures.
@@ -16,6 +18,21 @@
  *                  count arrays omitted)
  *   sweep.json  -> <run>.ipc, <run>.avg_read_latency_ns, ... per cell
  *                  (run = "<scheme>__<workload>")
+ *   trace       -> blame.writes and
+ *                  blame.<component>.{p50_ns,p99_ns,max_ns,mean_ns,
+ *                  share_pct} over the run's data writes (component
+ *                  = dep, queue, bank, rcd, base, location, content,
+ *                  scheme; exact nearest-rank percentiles of the
+ *                  per-write ticks; share_pct = the component's
+ *                  percent of all blame)
+ *
+ * A trace is a trace.csv/trace.bin file, a run directory holding one
+ * (names as above), or a trace-out sweep directory of run
+ * directories (each name under a "<run>." prefix, like sweep.json
+ * cells). A directory is read as a trace only when it holds no
+ * sweep.json or stats.json. So the old blame diff is
+ *
+ *   ladder_query diff '*blame.*.mean_ns' A B threshold=0.1
  */
 
 #ifndef LADDER_SIM_STATS_QUERY_HH
@@ -55,9 +72,11 @@ std::map<std::string, double>
 flattenStatsDocument(const JsonValue &doc);
 
 /**
- * Load @p path — a sweep.json/stats.json file, or a directory
- * containing one (sweep.json preferred) — into @p out. Returns false
- * with @p error set when no stats file is found or it is empty.
+ * Load @p path — a sweep.json/stats.json file, a directory containing
+ * one (sweep.json preferred), or an attribution trace (see the file
+ * comment) — into @p out. Returns false with @p error set when
+ * nothing loads, a file is empty or malformed, or a trace lacks the
+ * attribution block.
  */
 bool loadStatSource(const std::string &path, StatSource &out,
                     std::string &error);
@@ -88,7 +107,8 @@ std::vector<StatDiff> diffStatSources(const StatSource &base,
  * The full `ladder_query` command: parse @p args (everything after
  * argv[0]), print the merged table or diff to @p out and errors to
  * @p err, and return the process exit code — 0 clean, 1 when a diff
- * found a regression, 2 on usage or load errors.
+ * found a regression, 2 on usage or load errors or when a diff
+ * compared no stats.
  *
  *   ladder_query [GLOB] PATH...            merge into one table
  *   ladder_query [GLOB] PATH... --list-stats

@@ -24,6 +24,11 @@ System::System(const SystemConfig &config) : config_(config)
     ladder_assert(config_.workloads.size() == 1 ||
                       config_.workloads.size() == 4,
                   "workloads must be a single program or a 4-mix");
+    ladder_assert(config_.crossbar.rows == config_.geometry.matRows &&
+                      config_.crossbar.cols == config_.geometry.matCols,
+                  "xbar.rows/cols must equal geom.mat-rows/cols: the "
+                  "timing surface must cover every mapped wordline "
+                  "and bitline");
 
     timing_ = &cachedTimingModel(config_.crossbar,
                                  config_.tableGranularity,

@@ -5,8 +5,9 @@
  * always-on exact-sum assert panics the run on any violation, so
  * completing these sweeps *is* the proof), per-component invariants
  * recovered from the written traces, the attribution-on vs -off byte
- * differential at the export layer, and the `ladder_blame` CLI's
- * table/diff output with its 0/1/2 exit contract.
+ * differential at the export layer, and `ladder_query` over the
+ * traces: the flattened blame.* profile, the blame diff and the 0/1/2
+ * exit contract.
  */
 
 #include <gtest/gtest.h>
@@ -22,9 +23,9 @@
 #include "common/types.hh"
 #include "ctrl/trace_reader.hh"
 #include "schemes/factory.hh"
-#include "sim/blame_query.hh"
 #include "sim/experiment.hh"
 #include "sim/stats_export.hh"
+#include "sim/stats_query.hh"
 
 namespace fs = std::filesystem;
 
@@ -157,7 +158,7 @@ TEST(Attribution, OnVsOffTraceByteDifferential)
     fs::remove_all(base);
 }
 
-TEST(Attribution, LadderBlameTableDiffAndExitContract)
+TEST(Attribution, LadderQueryBlameTableDiffAndExitContract)
 {
     fs::path base =
         fs::path(::testing::TempDir()) / "ladder_attr_blame";
@@ -179,63 +180,89 @@ TEST(Attribution, LadderBlameTableDiffAndExitContract)
 
     const std::string a = (base / "a" / "trace").string();
     const std::string b = (base / "b" / "trace").string();
+    const std::string run = runDirName(SchemeKind::LadderEst, "lbm");
 
-    // Table mode: exit 0 and one row per component, in csv too.
+    // Table mode: exit 0 and every component's rows, in csv too.
     const std::vector<std::string> components = {
         "dep", "queue", "bank", "rcd", "base", "location", "content",
         "scheme"};
     std::ostringstream out, err;
-    EXPECT_EQ(ladderBlameMain({a}, out, err), 0) << err.str();
+    EXPECT_EQ(ladderQueryMain({a}, out, err), 0) << err.str();
     for (const std::string &component : components)
-        EXPECT_NE(out.str().find(component), std::string::npos)
+        EXPECT_NE(out.str().find(run + ".blame." + component + "."),
+                  std::string::npos)
             << out.str();
     out.str("");
-    EXPECT_EQ(ladderBlameMain({a, "format=csv"}, out, err), 0);
+    EXPECT_EQ(ladderQueryMain({"*blame.*", a, "format=csv"}, out, err),
+              0);
     std::istringstream csv(out.str());
     std::string line;
     ASSERT_TRUE(std::getline(csv, line));
-    EXPECT_EQ(line,
-              "run,component,p50_ns,p99_ns,max_ns,mean_ns,share_pct");
-    // Every run lists the components in schema order, and its shares
-    // sum to 100% up to rounding.
-    std::map<std::string, std::vector<std::string>> runComponents;
+    EXPECT_EQ(line, "stat," + a);
+    // Rows are <run>.blame.<component>.<field>,<value>: every run
+    // lists all five fields of every component plus its write count,
+    // and its shares sum to 100% up to rounding.
+    std::map<std::string, std::map<std::string, int>> runFields;
     std::map<std::string, double> runShare;
+    std::map<std::string, double> runWrites;
     while (std::getline(csv, line)) {
-        std::vector<std::string> fields;
-        std::istringstream row(line);
-        for (std::string field; std::getline(row, field, ',');)
-            fields.push_back(field);
-        ASSERT_EQ(fields.size(), 7u) << line;
-        runComponents[fields[0]].push_back(fields[1]);
-        runShare[fields[0]] += std::stod(fields[6]);
+        const std::size_t comma = line.find(',');
+        const std::size_t blame = line.find(".blame.");
+        ASSERT_NE(comma, std::string::npos) << line;
+        ASSERT_NE(blame, std::string::npos) << line;
+        const std::string runName = line.substr(0, blame);
+        const std::string rest =
+            line.substr(blame + 7, comma - blame - 7);
+        const double value = std::stod(line.substr(comma + 1));
+        if (rest == "writes") {
+            runWrites[runName] = value;
+            continue;
+        }
+        const std::size_t dot = rest.find('.');
+        ASSERT_NE(dot, std::string::npos) << line;
+        ++runFields[runName][rest.substr(0, dot)];
+        if (rest.substr(dot + 1) == "share_pct")
+            runShare[runName] += value;
     }
-    EXPECT_EQ(runComponents.size(), 1u);
-    for (const auto &[run, got] : runComponents) {
-        EXPECT_EQ(got, components) << run;
-        EXPECT_NEAR(runShare[run], 100.0, 1.0) << run;
+    ASSERT_EQ(runFields.size(), 1u);
+    for (const auto &[name, fields] : runFields) {
+        EXPECT_EQ(name, run);
+        EXPECT_GT(runWrites[name], 0.0) << name;
+        ASSERT_EQ(fields.size(), components.size()) << name;
+        for (const std::string &component : components)
+            EXPECT_EQ(fields.at(component), 5) << name << component;
+        EXPECT_NEAR(runShare[name], 100.0, 1.0) << name;
     }
 
-    // Diff: self-diff is clean (0); the injected shift flags (1).
+    // Diff: self-diff is clean (0); the injected shift flags (1),
+    // on the rcd component.
     out.str("");
-    EXPECT_EQ(ladderBlameMain({"diff", a, a}, out, err), 0)
+    EXPECT_EQ(ladderQueryMain({"diff", a, a}, out, err), 0)
         << out.str();
     out.str("");
-    EXPECT_EQ(
-        ladderBlameMain({"diff", a, b, "threshold=0.5"}, out, err),
-        1)
+    EXPECT_EQ(ladderQueryMain({"diff", "*blame.*.mean_ns", a, b,
+                               "threshold=0.5"},
+                              out, err),
+              1)
         << out.str();
-    EXPECT_NE(out.str().find("BLAME SHIFT"), std::string::npos);
+    std::istringstream report(out.str());
+    bool rcdFlagged = false;
+    while (std::getline(report, line))
+        if (line.find(".blame.rcd.mean_ns") != std::string::npos)
+            rcdFlagged =
+                line.find("REGRESSION") != std::string::npos;
+    EXPECT_TRUE(rcdFlagged) << out.str();
 
     // Usage and load errors: exit 2.
     out.str("");
-    EXPECT_EQ(ladderBlameMain({}, out, err), 2);
-    EXPECT_EQ(ladderBlameMain({"diff", a}, out, err), 2);
+    EXPECT_EQ(ladderQueryMain({}, out, err), 2);
+    EXPECT_EQ(ladderQueryMain({"diff", a}, out, err), 2);
     EXPECT_EQ(
-        ladderBlameMain({(base / "missing").string()}, out, err), 2);
-    EXPECT_EQ(ladderBlameMain({"bogus=1", a}, out, err), 2);
+        ladderQueryMain({a, (base / "missing").string()}, out, err),
+        2);
     err.str("");
     EXPECT_EQ(
-        ladderBlameMain({(base / "plain" / "trace").string()}, out,
+        ladderQueryMain({(base / "plain" / "trace").string()}, out,
                         err),
         2);
     EXPECT_NE(err.str().find("attribution"), std::string::npos)

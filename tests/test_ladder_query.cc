@@ -2,13 +2,16 @@
  * @file
  * ladder_query engine tests against the committed fixtures in
  * tests/data/query: glob matching, sweep.json flattening, multi-run
- * merge, and the diff exit-code contract (0 clean / 1 regression /
- * 2 usage-or-load error) that CI relies on.
+ * merge, stats-before-trace load precedence, and the diff exit-code
+ * contract (0 clean / 1 regression / 2 usage-or-load error or
+ * nothing compared) that CI relies on. test_attribution covers the
+ * blame.* profile of real attribution traces.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +27,9 @@ const std::string runA =
     std::string(LADDER_QUERY_FIXTURES) + "/runA";
 const std::string runB =
     std::string(LADDER_QUERY_FIXTURES) + "/runB";
+/** A committed controller trace recorded without attribution. */
+const std::string miniTrace =
+    std::string(LADDER_QUERY_FIXTURES) + "/../mini_ctrl.bin2";
 
 int
 runQuery(const std::vector<std::string> &args,
@@ -76,6 +82,36 @@ TEST(StatSource, LoadErrorsAreReported)
     std::string error;
     EXPECT_FALSE(loadStatSource(runA + "/nope", src, error));
     EXPECT_NE(error.find("no such file"), std::string::npos);
+}
+
+TEST(StatSource, StatsFileTakesPrecedenceOverTrace)
+{
+    // A directory holding both a stats file and a trace is read as
+    // the stats file; the trace here lacks attribution, so loading it
+    // instead would fail.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "ladder_query_precedence";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    fs::copy_file(runA + "/sweep.json", dir / "stats.json");
+    fs::copy_file(miniTrace, dir / "trace.bin");
+
+    StatSource fromDir, fromFixture;
+    std::string error;
+    ASSERT_TRUE(loadStatSource(dir.string(), fromDir, error)) << error;
+    ASSERT_TRUE(loadStatSource(runA, fromFixture, error)) << error;
+    EXPECT_EQ(fromDir.values, fromFixture.values);
+    fs::remove_all(dir);
+}
+
+TEST(StatSource, TraceWithoutAttributionIsALoadError)
+{
+    StatSource src;
+    std::string error;
+    EXPECT_FALSE(loadStatSource(miniTrace, src, error));
+    EXPECT_NE(error.find("no attribution block"), std::string::npos)
+        << error;
 }
 
 TEST(StatDiffTest, FlagsOnlyMovesBeyondThreshold)
@@ -164,6 +200,22 @@ TEST(QueryCli, UsageAndLoadErrorsExitTwo)
     EXPECT_EQ(runQuery({"diff", runA, runB, "threshold=bogus"},
                        nullptr, &err),
               2);
+}
+
+TEST(QueryCli, DiffComparingNothingExitsTwo)
+{
+    // A glob typo must not pass the gate vacuously, in any format.
+    for (const char *format : {"format=table", "format=csv",
+                               "format=json"}) {
+        std::string out, err;
+        EXPECT_EQ(runQuery({"diff", "nosuchstat*", runA, runA, format},
+                           &out, &err),
+                  2)
+            << format;
+        EXPECT_NE(err.find("no stats in common"), std::string::npos)
+            << err;
+        EXPECT_TRUE(out.empty()) << out;
+    }
 }
 
 TEST(QueryCli, MergeCsvFormat)

@@ -262,6 +262,17 @@ TEST(ParamRegistry, OutOfRangeIsDiagnosedWithDoc)
         EXPECT_NE(what.find(arg), std::string::npos) << what;
         EXPECT_NE(what.find("multiple of 4"), std::string::npos) << what;
     }
+    // Both key pairs size one mat: a crossbar smaller than the mats
+    // the address map fills used to read past the timing surface.
+    const std::pair<const char *, const char *> mats[] = {
+        {"geom.mat-rows=1024", "xbar.rows=512"},
+        {"xbar.rows=64", "geom.mat-rows=512"},
+        {"xbar.cols=64", "geom.mat-cols=512"}};
+    for (const auto &[arg, other] : mats) {
+        what = errorOf({arg});
+        EXPECT_NE(what.find(arg), std::string::npos) << what;
+        EXPECT_NE(what.find(other), std::string::npos) << what;
+    }
 }
 
 TEST(ParamRegistry, NonNumericValueIsRejected)
@@ -737,7 +748,9 @@ TEST(ParamRegistry, SweepCellsRejectBadShapes)
     // Likewise a cell whose memory geometry the model cannot hold.
     const std::pair<const char *, const char *> geometries[] = {
         {"{\"geom.mat-cols\": 256}", "geom.mat-cols=256"},
-        {"{\"geom.mat-groups\": 6}", "geom.mat-groups=6"}};
+        {"{\"geom.mat-groups\": 6}", "geom.mat-groups=6"},
+        {"{\"geom.mat-rows\": 1024}",
+         "geom.mat-rows=1024 does not match xbar.rows=512"}};
     for (const auto &[params, key] : geometries) {
         fs::path geom = tempFile(
             "c11.json",
