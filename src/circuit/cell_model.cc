@@ -10,8 +10,8 @@ namespace ladder
 
 CellModel::CellModel(const CrossbarParams &params) : params_(params)
 {
-    ladder_assert(params.selectorNonlinearity > 1.0,
-                  "selector nonlinearity must exceed 1");
+    ladder_assert(params.selectorNonlinearity >= 2.0,
+                  "selector nonlinearity must be at least 2");
     ladder_assert(params.writeVolts > 0.0, "write voltage must be > 0");
 
     // Solve sinh(B*Vw) / sinh(B*Vw/2) = kappa by bisection. The ratio is
@@ -52,6 +52,15 @@ CellModel::current(CellState state, double volts) const
     const double mag = std::abs(volts);
     double i = isat(state) * std::sinh(b_ * mag);
     return volts >= 0.0 ? i : -i;
+}
+
+CellCurrent
+CellModel::currentAndSlope(CellState state, double volts) const
+{
+    const double e = std::exp(b_ * std::abs(volts));
+    const double inv = 1.0 / e;
+    const double i = isat(state) * 0.5 * (e - inv);
+    return {volts >= 0.0 ? i : -i, isat(state) * b_ * 0.5 * (e + inv)};
 }
 
 double

@@ -63,6 +63,13 @@ enum class CellState : unsigned char
     LRS = 1, //!< low-resistance state, logical '1'
 };
 
+/** A cell's current and its tangent dI/dV at one voltage. */
+struct CellCurrent
+{
+    double amps = 0.0;  //!< I(V)
+    double slope = 0.0; //!< dI/dV (S)
+};
+
 /**
  * Voltage-dependent composite conductance of a 1S1R cell.
  *
@@ -80,6 +87,13 @@ class CellModel
 
     /** Current (A) through a cell in @p state at @p volts. */
     double current(CellState state, double volts) const;
+
+    /**
+     * Current and tangent conductance, Isat*sinh(BV) and
+     * Isat*B*cosh(BV), from one exp: what a Newton iteration
+     * linearizes the cell on.
+     */
+    CellCurrent currentAndSlope(CellState state, double volts) const;
 
     /** The fitted sinh steepness B (1/V). */
     double steepness() const { return b_; }

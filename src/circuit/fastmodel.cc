@@ -60,34 +60,38 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
         }
     }
 
-    // State of the fixed-point loop.
-    std::vector<double> vWl(m, 0.0);            // selected WL nodes
-    std::vector<double> vBl(n, vw);             // selected BL nodes
-                                                // (shared shape; each
-                                                // selected BL carries its
-                                                // own current below)
-    std::vector<double> cellCurrent(nSel, 0.0); // per selected cell
-
-    // Initial guess for the cell currents: the nominal LRS current at
-    // the ideal drop Vw.
-    for (auto &i : cellCurrent)
-        i = cell_.current(CellState::LRS, vw);
+    // The Newton iterate: the selected wordline's nodes and the
+    // representative selected bitline's nodes.
+    std::vector<double> vWl(m, 0.0);
+    std::vector<double> vBl(n, vw);
 
     ResetEvaluation eval;
     const std::size_t maxIter = 200;
     const double tol = 2e-7;
-    const double damping = 0.35;
 
     // One tridiagonal system per line, each solved in place: the
     // solution overwrites rhs, so no per-iteration copies are needed.
     std::vector<double> wlSub(m), wlDiag(m), wlSup(m), wlRhs(m);
     std::vector<double> blSub(n), blDiag(n), blSup(n), blRhs(n);
+    // Each selected cell's tangent at the iterate.
+    std::vector<CellCurrent> sel(nSel);
 
     std::vector<double> drops(nSel, vw);
     double biasPower = 0.0;
     double drvPower = 0.0;
 
+    // Every cell is linearized on its tangent at the iterate,
+    // I(d) ~ i0 + g (d - d0) with g = dI/dV, so each line solve is one
+    // Newton step in that line's nodes. The selected cells couple the
+    // two lines: their tangents sit on the diagonal of the wordline
+    // solve against the bitline iterate, then on the diagonal of the
+    // bitline solve against the wordline just solved.
     for (std::size_t iter = 0; iter < maxIter; ++iter) {
+        const double blAtSelOld = vBl[cond.wordline];
+        for (std::size_t k = 0; k < nSel; ++k)
+            sel[k] = cell_.currentAndSlope(CellState::LRS,
+                                           blAtSelOld - vWl[blBase + k]);
+
         // --- Selected wordline solve (driver to ground at j = 0). ---
         std::fill(wlDiag.begin(), wlDiag.end(), 0.0);
         std::fill(wlRhs.begin(), wlRhs.end(), 0.0);
@@ -104,16 +108,20 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
             if (j == 0)
                 wlDiag[j] += gIn; // grounded driver, no RHS term
             if (j >= blBase && j < blBase + nSel) {
-                // Fully selected cell: known current injection.
-                wlRhs[j] += cellCurrent[j - blBase];
+                // Fully selected cell, injecting I(vBl - vWl).
+                const CellCurrent &c = sel[j - blBase];
+                wlDiag[j] += c.slope;
+                wlRhs[j] += c.amps + c.slope * vWl[j];
             } else {
-                // Half-selected cell shunting to the V/2 bias plane.
-                double drop = vb - vWl[j];
-                double g = cell_.conductance(wlState[j], drop) *
-                           params_.wlSneakScale;
+                // Half-selected cell, drawing I(vb - vWl) from the V/2
+                // bias plane.
+                const CellCurrent c =
+                    cell_.currentAndSlope(wlState[j], vb - vWl[j]);
+                const double i0 = c.amps * params_.wlSneakScale;
+                const double g = c.slope * params_.wlSneakScale;
                 wlDiag[j] += g;
-                wlRhs[j] += g * vb;
-                biasPower += vb * g * drop;
+                wlRhs[j] += i0 + g * vWl[j];
+                biasPower += vb * i0;
             }
         }
         solveTridiagonal(wlSub, wlDiag, wlSup, wlRhs);
@@ -123,13 +131,22 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
         // All selected bitlines share identical structure and loads
         // and carry cell currents within a fraction of a percent of
         // each other (they differ only through adjacent wordline
-        // nodes), so one representative line solved with the mean
-        // cell current stands for all of them. The per-cell drops
-        // still differ through the wordline side.
-        double meanCurrent = 0.0;
-        for (double i : cellCurrent)
-            meanCurrent += i;
-        meanCurrent /= static_cast<double>(nSel);
+        // nodes), so one representative line carrying the mean of the
+        // selected cells' linearized currents stands for all of them.
+        // The mean is taken over the per-cell tangents, not one tangent
+        // at the mean drop, which would move the fixed point. The
+        // per-cell drops still differ through the wordline side.
+        double selDiag = 0.0;
+        double selRhs = 0.0;
+        for (std::size_t k = 0; k < nSel; ++k) {
+            const CellCurrent &c = sel[k];
+            const double d0 = blAtSelOld - vWl[blBase + k];
+            selDiag += c.slope;
+            selRhs += -(c.amps - c.slope * d0) +
+                      c.slope * newWl[blBase + k];
+        }
+        selDiag /= static_cast<double>(nSel);
+        selRhs /= static_cast<double>(nSel);
 
         std::fill(blDiag.begin(), blDiag.end(), 0.0);
         std::fill(blRhs.begin(), blRhs.end(), 0.0);
@@ -147,13 +164,17 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
                 blRhs[i] += gOut * vw;
             }
             if (i == cond.wordline) {
-                blRhs[i] -= meanCurrent;
+                blDiag[i] += selDiag;
+                blRhs[i] += selRhs;
             } else {
-                double drop = vBl[i] - vb;
-                double g = cell_.conductance(blState[i], drop) *
-                           params_.blSneakScale;
+                // Half-selected cell, sinking I(vBl - vb) into the V/2
+                // bias plane.
+                const CellCurrent c =
+                    cell_.currentAndSlope(blState[i], vBl[i] - vb);
+                const double i0 = c.amps * params_.blSneakScale;
+                const double g = c.slope * params_.blSneakScale;
                 blDiag[i] += g;
-                blRhs[i] += g * vb;
+                blRhs[i] += g * vBl[i] - i0;
             }
         }
         solveTridiagonal(blSub, blDiag, blSup, blRhs);
@@ -162,32 +183,21 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
         drvPower = static_cast<double>(nSel) * vw * gOut *
                    (vw - newBl[0]);
 
-        // --- Cell current update with damping. ---
+        // --- Take the full step. ---
         // std::max drops a NaN delta, so finiteness is tracked apart.
         double maxDelta = 0.0;
         bool finite = true;
-        for (std::size_t k = 0; k < nSel; ++k) {
-            double drop = blAtSel - newWl[blBase + k];
-            double iNew = cell_.current(CellState::LRS, drop);
-            double iNext =
-                damping * cellCurrent[k] + (1.0 - damping) * iNew;
-            maxDelta =
-                std::max(maxDelta, std::abs(iNext - cellCurrent[k]));
-            finite = finite && std::isfinite(iNext);
-            cellCurrent[k] = iNext;
-            drops[k] = std::abs(drop);
-        }
+        for (std::size_t k = 0; k < nSel; ++k)
+            drops[k] = std::abs(blAtSel - newWl[blBase + k]);
         for (std::size_t j = 0; j < m; ++j) {
-            double next = damping * vWl[j] + (1.0 - damping) * newWl[j];
-            maxDelta = std::max(maxDelta, std::abs(next - vWl[j]));
-            finite = finite && std::isfinite(next);
-            vWl[j] = next;
+            maxDelta = std::max(maxDelta, std::abs(newWl[j] - vWl[j]));
+            finite = finite && std::isfinite(newWl[j]);
+            vWl[j] = newWl[j];
         }
         for (std::size_t i = 0; i < n; ++i) {
-            double next = damping * vBl[i] + (1.0 - damping) * newBl[i];
-            maxDelta = std::max(maxDelta, std::abs(next - vBl[i]));
-            finite = finite && std::isfinite(next);
-            vBl[i] = next;
+            maxDelta = std::max(maxDelta, std::abs(newBl[i] - vBl[i]));
+            finite = finite && std::isfinite(newBl[i]);
+            vBl[i] = newBl[i];
         }
 
         eval.iterations = iter + 1;
@@ -197,8 +207,6 @@ SneakPathModel::evaluate(const ResetCondition &cond) const
                       std::numeric_limits<double>::quiet_NaN());
             break;
         }
-        // Current scale is ~1e-4 A, voltage ~1 V; a combined absolute
-        // tolerance works for both.
         if (maxDelta < tol) {
             eval.converged = true;
             break;

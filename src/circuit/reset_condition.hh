@@ -8,6 +8,7 @@
 #ifndef LADDER_CIRCUIT_RESET_CONDITION_HH
 #define LADDER_CIRCUIT_RESET_CONDITION_HH
 
+#include <compare>
 #include <cstddef>
 
 namespace ladder
@@ -29,6 +30,8 @@ struct ResetCondition
     std::size_t byteOffset = 0; //!< selected byte slot (bitline / 8)
     unsigned wlLrsCount = 0;    //!< LRS cells along the selected WL
     unsigned blLrsCount = 0;    //!< LRS cells along each selected BL
+
+    auto operator<=>(const ResetCondition &) const = default;
 };
 
 /** Electrical outcome of evaluating one ResetCondition. */

@@ -24,25 +24,25 @@ namespace ladder
  */
 struct SolverCounters
 {
-    std::uint64_t picardSolves = 0;
-    std::uint64_t picardIterations = 0;
-    std::uint64_t picardStalls = 0; //!< solves that did not converge
+    std::uint64_t solves = 0;
+    std::uint64_t iterations = 0;
+    std::uint64_t stalls = 0; //!< solves that did not converge
 
-    /** Count one nonlinear outer solve. */
+    /** Count one nonlinear solve. */
     void
-    notePicard(std::size_t iterations, bool converged)
+    note(std::size_t solveIterations, bool converged)
     {
-        ++picardSolves;
-        picardIterations += iterations;
-        picardStalls += converged ? 0 : 1;
+        ++solves;
+        iterations += solveIterations;
+        stalls += converged ? 0 : 1;
     }
 
     SolverCounters &
     operator+=(const SolverCounters &other)
     {
-        picardSolves += other.picardSolves;
-        picardIterations += other.picardIterations;
-        picardStalls += other.picardStalls;
+        solves += other.solves;
+        iterations += other.iterations;
+        stalls += other.stalls;
         return *this;
     }
 };

@@ -47,13 +47,13 @@ using Calibration =
  * The table solves run in parallel without changing a bit of the
  * result. The public builders run twice: first against an evaluator
  * that only records the operating points they request, then, once a
- * local pool has solved every point into an index-ordered vector,
- * against one that replays those results in request order. Each solve
- * is a pure function of (params, condition), so the tables equal a
- * serial build's at any worker count. Every requested point is solved,
- * repeated corners included, and counted into model.solver. The pool
- * is this call's own, never a caller's, so a build may run on a sweep
- * worker while other workers build other models.
+ * local pool has solved each distinct point once, against one that
+ * looks every request's result up by its point. Each solve is a pure
+ * function of (params, condition), so solving a repeated corner once
+ * changes no result, and the tables equal a serial build's at any
+ * worker count. Each distinct point is counted into model.solver
+ * once. The pool is this call's own, never a caller's, so a build may
+ * run on a sweep worker while other workers build other models.
  */
 TimingModel
 buildModel(const CrossbarParams &params, unsigned granularity,
@@ -83,6 +83,8 @@ buildModel(const CrossbarParams &params, unsigned granularity,
         conds.push_back(c);
         return ResetEvaluation{};
     });
+    std::sort(conds.begin(), conds.end());
+    conds.erase(std::unique(conds.begin(), conds.end()), conds.end());
 
     std::vector<ResetEvaluation> results(conds.size());
     std::atomic<std::size_t> next{0};
@@ -101,15 +103,14 @@ buildModel(const CrossbarParams &params, unsigned granularity,
             worker.get();
     }
 
-    std::size_t replayed = 0;
-    buildTables([&](const ResetCondition &) {
-        return results.at(replayed++);
+    buildTables([&](const ResetCondition &c) {
+        auto it = std::lower_bound(conds.begin(), conds.end(), c);
+        ladder_assert(it != conds.end() && *it == c,
+                      "timing table replay requested an unsolved point");
+        return results[static_cast<std::size_t>(it - conds.begin())];
     });
-    ladder_assert(replayed == conds.size(),
-                  "timing table replay used %zu of %zu solves", replayed,
-                  conds.size());
     for (const ResetEvaluation &ev : results)
-        model.solver.notePicard(ev.iterations, ev.converged);
+        model.solver.note(ev.iterations, ev.converged);
     attachSurfaces(model);
     return model;
 }
@@ -354,8 +355,8 @@ TimingModel::generate(const CrossbarParams &params, unsigned granularity,
                 static_cast<unsigned>(params.rows)};
             const ResetEvaluation best = fast.evaluate(bestCond);
             const ResetEvaluation worst = fast.evaluate(worstCond);
-            model.solver.notePicard(best.iterations, best.converged);
-            model.solver.notePicard(worst.iterations, worst.converged);
+            model.solver.note(best.iterations, best.converged);
+            model.solver.note(worst.iterations, worst.converged);
             model.bestDropVolts = best.minDropVolts;
             model.worstDropVolts = worst.minDropVolts;
             if (!std::isfinite(model.bestDropVolts) ||

@@ -285,7 +285,9 @@ registerExperimentParams(Registry &reg)
                   "HRS resistance", 1.0, 1e12);
     reg.addDouble("xbar.nonlinearity",
                   LADDER_FIELD(system.crossbar.selectorNonlinearity),
-                  "Selector nonlinearity", 1.0, 1e6);
+                  "Selector nonlinearity I(Vw)/I(Vw/2) (2 is a linear "
+                  "cell)",
+                  2.0, 1e6);
     reg.addDouble("xbar.input-ohms",
                   LADDER_FIELD(system.crossbar.inputOhms),
                   "Wordline driver resistance", 0.0, 1e6);

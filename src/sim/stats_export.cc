@@ -29,21 +29,14 @@ utcNow()
     return buf;
 }
 
-/**
- * The cg_* fields stay in the schema at 0: timing models are built by
- * the fast model, which runs no conjugate-gradient solve.
- */
+/** The fast-model solves behind the run's timing models. */
 void
 writeSolverJson(JsonWriter &json, const SolverCounters &c)
 {
     json.beginObject();
-    json.field("cg_solves", 0);
-    json.field("cg_iterations", 0);
-    json.field("cg_stalls", 0);
-    json.field("cg_max_residual", 0);
-    json.field("picard_solves", c.picardSolves);
-    json.field("picard_iterations", c.picardIterations);
-    json.field("picard_stalls", c.picardStalls);
+    json.field("solves", c.solves);
+    json.field("iterations", c.iterations);
+    json.field("stalls", c.stalls);
     json.endObject();
 }
 

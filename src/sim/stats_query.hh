@@ -12,7 +12,7 @@
  *
  * Flattened names:
  *   stats.json  -> result.ipc, resolved_config.ctrl.queue-depth,
- *                  solver.cg_iterations, ctrl.write_latency.mean
+ *                  solver.iterations, ctrl.write_latency.mean
  *                  (stat groups under their own group name, averages
  *                  as .mean/.min/.max/.sum/.count, histogram bucket
  *                  count arrays omitted)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "circuit/cell_model.hh"
 
 namespace ladder
@@ -100,6 +102,29 @@ TEST_P(ConductanceConsistency, GEqualsIOverV)
     double v = GetParam();
     EXPECT_NEAR(cell.conductance(CellState::LRS, v) * v,
                 cell.current(CellState::LRS, v), 1e-12);
+}
+
+TEST_P(ConductanceConsistency, CurrentAndSlopeMatchTheLaw)
+{
+    // The Newton fast model's tangent: the current equals current(),
+    // and the slope a central difference of it, in both states and
+    // both polarities.
+    CrossbarParams p;
+    CellModel cell(p);
+    const double h = 1e-5;
+    for (CellState state : {CellState::LRS, CellState::HRS}) {
+        for (double v : {GetParam(), -GetParam()}) {
+            const CellCurrent c = cell.currentAndSlope(state, v);
+            const double i = cell.current(state, v);
+            EXPECT_NEAR(c.amps, i, 1e-12 * std::abs(i) + 1e-20)
+                << "at " << v;
+            const double fd = (cell.current(state, v + h) -
+                               cell.current(state, v - h)) /
+                              (2.0 * h);
+            EXPECT_GT(c.slope, 0.0) << "at " << v;
+            EXPECT_NEAR(c.slope, fd, 1e-6 * fd) << "at " << v;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Voltages, ConductanceConsistency,

@@ -136,14 +136,34 @@ TEST(FastModel, FullSizeConverges)
     EXPECT_LT(eval.minDropVolts, p.writeVolts);
 }
 
+TEST(FastModel, WireResistanceSweepConverges)
+{
+    // Over the whole wire range up to 10 ohm per segment, the worst
+    // corner of a full-size mat converges in a few Newton steps to a
+    // finite drop that falls as the wires get more resistive.
+    double prev = 10.0;
+    for (double ohms = 2.5; ohms <= 10.0; ohms += 0.5) {
+        CrossbarParams p;
+        p.wireOhms = ohms;
+        ResetEvaluation eval =
+            SneakPathModel(p).evaluate({511, 63, 512, 512});
+        EXPECT_TRUE(eval.converged) << ohms << " ohm";
+        EXPECT_LE(eval.iterations, 8u) << ohms << " ohm";
+        EXPECT_TRUE(std::isfinite(eval.minDropVolts)) << ohms << " ohm";
+        EXPECT_LT(eval.minDropVolts, prev) << ohms << " ohm";
+        EXPECT_GT(eval.minDropVolts, 1.0) << ohms << " ohm";
+        prev = eval.minDropVolts;
+    }
+}
+
 TEST(FastModel, NonFiniteIterateIsNotConverged)
 {
-    // At 10 ohm per segment, inside the registry's range, the damped
-    // loop's worst-case iterate diverges to NaN; that is a failure to
-    // converge, not a converged drop; the drops it leaves are NaN, so
-    // calibration's finiteness check rejects them.
+    // Zero-ohm wires (rejected by the registry, but a direct caller
+    // can pass them) make every line solve non-finite; that is a
+    // failure to converge, not a converged drop; the drops it leaves
+    // are NaN, so calibration's finiteness check rejects them.
     CrossbarParams p;
-    p.wireOhms = 10.0;
+    p.wireOhms = 0.0;
     SneakPathModel fast(p);
     ResetEvaluation eval = fast.evaluate({511, 63, 512, 512});
     EXPECT_FALSE(eval.converged);

@@ -188,7 +188,7 @@ TEST(System, SplitResetDerivesFromTheSystemModel)
     EXPECT_EQ(split.halfModel().law, full.law);
     EXPECT_EQ(split.halfModel().params.wireOhms, 3.0);
     EXPECT_EQ(split.halfModel().params.selectedCells, 4u);
-    EXPECT_EQ(sys.solverEffort().picardSolves, 2690u);
+    EXPECT_EQ(sys.solverEffort().solves, 2434u);
 }
 
 TEST(System, FnwOffMeansNoFlips)
