@@ -162,8 +162,10 @@ rejectSweepSelection(const BenchArgs &args, const char *why)
  * Print a normalized table: one row per workload plus an AVG row,
  * one column per scheme, where each value is
  * metric(scheme) / metric(baseline) for that workload. A zero
- * baseline metric yields nan (with a stderr warning) rather than a
- * silent 0.0, so a broken run cannot masquerade as a perfect one.
+ * baseline metric or a degenerate baseline run (no data reads or no
+ * data writes in the measured window) yields nan, with a stderr
+ * warning, rather than a silent 0.0 or 1.000, so a broken run cannot
+ * masquerade as a perfect or a neutral one.
  */
 template <typename MetricFn>
 inline void
@@ -177,21 +179,25 @@ printNormalizedTable(const Matrix &matrix, SchemeKind baseline,
     printer.printHeader();
     std::vector<double> sums(matrix.schemes.size(), 0.0);
     for (const auto &workload : matrix.workloads) {
-        double base = metric(matrix.at(baseline, workload));
-        if (base == 0.0) {
+        const SimResult &baseRun = matrix.at(baseline, workload);
+        double base = metric(baseRun);
+        const char *unusable =
+            baseRun.degenerate ? "baseline run is degenerate"
+            : base == 0.0      ? "baseline metric is zero"
+                               : nullptr;
+        if (unusable) {
             std::fprintf(stderr,
-                         "warn: baseline metric is zero for workload "
-                         "'%s'; normalized values are nan\n",
-                         workload.c_str());
+                         "warn: %s for workload '%s'; normalized "
+                         "values are nan\n",
+                         unusable, workload.c_str());
         }
         std::vector<double> row;
         for (std::size_t s = 0; s < matrix.schemes.size(); ++s) {
             double value =
                 metric(matrix.at(matrix.schemes[s], workload));
             double normalized =
-                base != 0.0
-                    ? value / base
-                    : std::numeric_limits<double>::quiet_NaN();
+                unusable ? std::numeric_limits<double>::quiet_NaN()
+                         : value / base;
             row.push_back(normalized);
             sums[s] += normalized;
         }

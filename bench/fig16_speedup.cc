@@ -55,7 +55,7 @@ try {
                 "ns, tWR 29-658 ns (variable)\n\n",
                 sys.geometry.channels, sys.geometry.ranksPerChannel,
                 sys.geometry.banksPerRank, sys.geometry.matRows,
-                sys.geometry.matCols, sys.controller.tClNs,
+                MemoryGeometry::matCols, sys.controller.tClNs,
                 sys.controller.tRcdNs, sys.controller.tBurstNs);
 
     std::printf("=== Figure 16: speedup over baseline (weighted IPC "

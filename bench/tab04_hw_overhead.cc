@@ -45,7 +45,9 @@ try {
 
     std::printf("\n=== Section 6.3: LRS-metadata storage overhead "
                 "===\n\n");
-    const MemoryGeometry &geo = cfg.system.geometry;
+    // The geometry a run builds, with mats sized by xbar.rows.
+    const MemoryGeometry geo =
+        makeSystemConfig(SchemeKind::LadderHybrid, "lbm", cfg).geometry;
     AddressMap map(geo);
     MetadataLayout layout(geo, map.totalPages() * 3 / 4);
     std::printf("  LADDER-Basic   %5.2f%%   (paper 3.12%%)\n",

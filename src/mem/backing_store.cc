@@ -27,7 +27,7 @@ constexpr std::uint64_t evenLanes = 0x00ff00ff00ff00ffull;
  * contiguous bitline counters, read as two little-endian words,
  * counts every set bit at once. No lane carries while a count, at
  * most the background rows plus the group's pages (2 x
- * geom.mat-rows), stays below 65,536; the constructor enforces it.
+ * xbar.rows), stays below 65,536; the constructor enforces it.
  */
 constexpr std::array<std::uint64_t, 16> nibbleSpread = [] {
     std::array<std::uint64_t, 16> s{};
@@ -53,7 +53,7 @@ BackingStore::BackingStore(const MemoryGeometry &geo, bool trackBitlines,
                   "background density out of range");
     ladder_assert(geo_.channels > 0, "geometry needs >= 1 channel");
     ladder_assert(!trackBitlines || 2 * geo_.matRows <= 65535,
-                  "16-bit bitline counters need geom.mat-rows <= 32767");
+                  "16-bit bitline counters need xbar.rows <= 32767");
 }
 
 void

@@ -24,8 +24,7 @@
  * the group selects bitlines [8b, 8b+7] in each of the 64 mats, so those
  * 512 counters are contiguous and a write's worst-bitline scan is one
  * linear max. The address map always places 64 blocks x 8 bitlines on
- * a wordline, so the layout assumes 512-column mats (the resolver
- * rejects any other geom.mat-cols).
+ * a wordline, so mats have MemoryGeometry::matCols = 512 columns.
  *
  * Counter upkeep. First touch folds a page's content into the bitline
  * counters with lane adds: a table spreads each mat byte's bits into

@@ -27,10 +27,9 @@ struct MemoryGeometry
     unsigned channels = 2;
     unsigned ranksPerChannel = 2;
     unsigned banksPerRank = 8;
-    unsigned chipsPerRank = 8;
     unsigned matGroupsPerBank = 64; //!< 64-mat groups per bank
-    unsigned matRows = 512;         //!< wordlines per mat
-    unsigned matCols = 512;         //!< bitlines per mat
+    /** Wordlines per mat; makeSystemConfig copies it from xbar.rows. */
+    unsigned matRows = 512;
 
     /** Mats that cooperate to store one block. */
     static constexpr unsigned matsPerGroup = 64;
@@ -39,7 +38,7 @@ struct MemoryGeometry
     /** Bytes per page. */
     static constexpr unsigned pageBytes = blocksPerPage * lineBytes;
     /** Bitlines per mat: every block of a page owns 8 per wordline. */
-    static constexpr unsigned supportedMatCols = blocksPerPage * 8;
+    static constexpr unsigned matCols = blocksPerPage * 8;
     /**
      * Mat groups interleave as this many concurrent subarray slots per
      * bank, so matGroupsPerBank must be a multiple of it.

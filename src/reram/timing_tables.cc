@@ -364,14 +364,14 @@ TimingModel::generate(const CrossbarParams &params, unsigned granularity,
                 model.bestDropVolts <= model.worstDropVolts)
                 fatal("crossbar calibration failed: best-case drop %g V "
                       "must exceed worst-case drop %g V (xbar.rows=%zu "
-                      "xbar.cols=%zu xbar.selected-cells=%zu "
+                      "xbar.selected-cells=%zu "
                       "xbar.lrs-ohms=%g xbar.hrs-ohms=%g "
                       "xbar.nonlinearity=%g xbar.input-ohms=%g "
                       "xbar.output-ohms=%g xbar.wire-ohms=%g "
                       "xbar.write-volts=%g xbar.bias-volts=%g "
                       "xbar.wl-sneak-scale=%g xbar.bl-sneak-scale=%g)",
                       model.bestDropVolts, model.worstDropVolts,
-                      params.rows, params.cols, params.selectedCells,
+                      params.rows, params.selectedCells,
                       params.lrsOhms, params.hrsOhms,
                       params.selectorNonlinearity, params.inputOhms,
                       params.outputOhms, params.wireOhms,

@@ -42,8 +42,10 @@ Addr
 MetadataLayout::hybridLowLine(const BlockLocation &loc) const
 {
     // Group id: same channel/rank/bank/mat-group, wordlines 4k..4k+3.
+    // A mat group spans ceil(rows / 4) groups, so a last partial group
+    // never aliases the next mat group's first.
     std::uint64_t group = loc.matGroup;
-    group = group * (geo_.matRows / 4) + loc.wordline / 4;
+    group = group * ((geo_.matRows + 3) / 4) + loc.wordline / 4;
     group = group * geo_.ranksPerChannel * geo_.banksPerRank +
             (loc.rank * geo_.banksPerRank + loc.bank);
     group = group * geo_.channels + loc.channel;

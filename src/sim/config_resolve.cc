@@ -250,31 +250,18 @@ registerExperimentParams(Registry &reg)
     reg.addInt<unsigned>("geom.banks",
                          LADDER_FIELD(system.geometry.banksPerRank),
                          "Banks per rank", 1, 64);
-    reg.addInt<unsigned>("geom.chips",
-                         LADDER_FIELD(system.geometry.chipsPerRank),
-                         "Chips per rank", 1, 64);
     reg.addInt<unsigned>(
         "geom.mat-groups", LADDER_FIELD(system.geometry.matGroupsPerBank),
         "64-mat groups per bank (a multiple of 4)", 1, 1024);
-    reg.addInt<unsigned>(
-        "geom.mat-rows", LADDER_FIELD(system.geometry.matRows),
-        "Wordlines per mat (= xbar.rows; 16-bit bitline counters)", 8,
-        32767);
-    reg.addInt<unsigned>("geom.mat-cols",
-                         LADDER_FIELD(system.geometry.matCols),
-                         "Bitlines per mat (must be 512)", 8, 65536);
 
     // ---------------------------------------------------------------
     // Crossbar / circuit model
     // ---------------------------------------------------------------
     reg.addInt<std::size_t>("xbar.rows",
                             LADDER_FIELD(system.crossbar.rows),
-                            "Crossbar wordlines (= geom.mat-rows)", 8,
-                            4096);
-    reg.addInt<std::size_t>("xbar.cols",
-                            LADDER_FIELD(system.crossbar.cols),
-                            "Crossbar bitlines (= geom.mat-cols)", 8,
-                            4096);
+                            "Wordlines per mat (columns are fixed at "
+                            "512)",
+                            8, 4096);
     reg.addInt<std::size_t>(
         "xbar.selected-cells",
         LADDER_FIELD(system.crossbar.selectedCells),
@@ -787,7 +774,7 @@ resolveExperiment(int argc, const char *const *argv,
     }
 
     validateCacheGeometry(out.config.system.caches, "resolved config");
-    validateMemoryGeometry(out.config.system, "resolved config");
+    validateMemoryGeometry(out.config.system.geometry, "resolved config");
 
     // CLI scheme/workload selections override the sweep spec's lists.
     if (schemesFromCli) {
@@ -823,16 +810,9 @@ validateCacheGeometry(const HierarchyParams &caches,
 }
 
 void
-validateMemoryGeometry(const SystemConfig &system,
+validateMemoryGeometry(const MemoryGeometry &geo,
                        const std::string &source)
 {
-    const MemoryGeometry &geo = system.geometry;
-    if (geo.matCols != MemoryGeometry::supportedMatCols)
-        fatal("%s: geom.mat-cols=%u is not supported — the address map "
-              "places %u blocks x 8 bitlines on every wordline, so mats "
-              "must have %u columns",
-              source.c_str(), geo.matCols, MemoryGeometry::blocksPerPage,
-              MemoryGeometry::supportedMatCols);
     if (geo.matGroupsPerBank % MemoryGeometry::subarraySlots != 0)
         fatal("%s: geom.mat-groups=%u is not a multiple of %u — mat "
               "groups interleave as %u concurrent subarray slots per "
@@ -840,17 +820,6 @@ validateMemoryGeometry(const SystemConfig &system,
               source.c_str(), geo.matGroupsPerBank,
               MemoryGeometry::subarraySlots,
               MemoryGeometry::subarraySlots);
-    // Both pairs describe one mat: the timing surface is sized by
-    // xbar.*, while the address map places wordlines and bitlines up
-    // to geom.mat-*, so a mismatch would look up past the surface.
-    if (system.crossbar.rows != geo.matRows)
-        fatal("%s: geom.mat-rows=%u does not match xbar.rows=%zu — "
-              "both give the wordlines per mat; set them equal",
-              source.c_str(), geo.matRows, system.crossbar.rows);
-    if (system.crossbar.cols != geo.matCols)
-        fatal("%s: xbar.cols=%zu does not match geom.mat-cols=%u — "
-              "both give the bitlines per mat; set them equal",
-              source.c_str(), system.crossbar.cols, geo.matCols);
 }
 
 void

@@ -85,15 +85,13 @@ void validateCacheGeometry(const HierarchyParams &caches,
                            const std::string &source);
 
 /**
- * Reject a memory geometry the model cannot hold: mats must have
- * MemoryGeometry::supportedMatCols bitlines (the address map places 64
- * blocks x 8 bitlines on every wordline), the mat groups per bank
- * must be a multiple of MemoryGeometry::subarraySlots, and the
- * crossbar the timing surface is sized by (xbar.rows/cols) must be
- * the mat the address map fills (geom.mat-rows/cols). Fatal, naming
- * the offending keys; @p source names the layer being checked.
+ * Reject a memory geometry the model cannot hold: the mat groups per
+ * bank must be a multiple of MemoryGeometry::subarraySlots. Fatal,
+ * naming the offending key; @p source names the layer being checked.
+ * (A mat's shape needs no check: xbar.rows is its only free
+ * dimension, and makeSystemConfig copies it into the geometry.)
  */
-void validateMemoryGeometry(const SystemConfig &system,
+void validateMemoryGeometry(const MemoryGeometry &geo,
                             const std::string &source);
 
 /**

@@ -72,6 +72,9 @@ makeSystemConfig(SchemeKind scheme, const std::string &workload,
     sys.seed = config.seed;
     sys.controller.fnwMode = config.fnwMode;
     sys.epochCycles = config.epochCycles;
+    // xbar.rows is the one key for a mat's wordlines: the address map
+    // places pages on exactly the rows the timing surface covers.
+    sys.geometry.matRows = static_cast<unsigned>(sys.crossbar.rows);
     if (config.cacheScale != 1.0) {
         auto scale = [&](const CacheParams &cache) {
             // Round down to whole sets and keep an 8 KB minimum (also
@@ -147,7 +150,7 @@ cellConfig(SchemeKind scheme, const std::string &workload,
         const std::string source =
             "sweep cell " + runDirName(scheme, workload);
         validateCacheGeometry(effective.system.caches, source);
-        validateMemoryGeometry(effective.system, source);
+        validateMemoryGeometry(effective.system.geometry, source);
     }
     return effective;
 }

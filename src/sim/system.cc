@@ -25,8 +25,9 @@ System::System(const SystemConfig &config) : config_(config)
                       config_.workloads.size() == 4,
                   "workloads must be a single program or a 4-mix");
     ladder_assert(config_.crossbar.rows == config_.geometry.matRows &&
-                      config_.crossbar.cols == config_.geometry.matCols,
-                  "xbar.rows/cols must equal geom.mat-rows/cols: the "
+                      config_.crossbar.cols == MemoryGeometry::matCols,
+                  "the crossbar must be the mat the address map fills "
+                  "(build the SystemConfig with makeSystemConfig): the "
                   "timing surface must cover every mapped wordline "
                   "and bitline");
 

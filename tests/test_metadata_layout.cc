@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <utility>
 
 #include "schemes/metadata_layout.hh"
 
@@ -67,6 +69,29 @@ TEST(MetadataLayout, HybridLowSharedByFourAdjacentRows)
     loc.wordline = 12;
     EXPECT_NE(l.hybridLowLine(loc), a);
     EXPECT_TRUE(l.isMetadataAddr(a));
+}
+
+TEST(MetadataLayout, HybridLowGroupsDoNotAliasAtOddRowCounts)
+{
+    // At 10 rows a mat group's last 4-row group is partial (rows 8-9);
+    // it must not share a line with the next mat group's rows 0-3.
+    MemoryGeometry geo;
+    geo.matRows = 10;
+    AddressMap map(geo);
+    MetadataLayout l(geo, map.totalPages() * 3 / 4);
+    std::map<Addr, std::pair<unsigned, unsigned>> owner;
+    BlockLocation loc = map.decode(0);
+    for (unsigned group = 0; group < 4; ++group) {
+        for (unsigned wl = 0; wl < geo.matRows; ++wl) {
+            loc.matGroup = group;
+            loc.wordline = wl;
+            const auto key = std::make_pair(group, wl / 4);
+            const auto it = owner.emplace(l.hybridLowLine(loc), key).first;
+            EXPECT_EQ(it->second, key)
+                << "group " << group << " wordline " << wl;
+        }
+    }
+    EXPECT_EQ(owner.size(), 4u * 3u);
 }
 
 TEST(MetadataLayout, HybridLowDistinctAcrossBanks)

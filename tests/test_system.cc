@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
+#include "ctrl/trace_reader.hh"
 #include "schemes/split_reset.hh"
+#include "sim/config_resolve.hh"
 #include "sim/experiment.hh"
+#include "sim/stats_export.hh"
 #include "sim/system.hh"
 
 namespace ladder
@@ -215,6 +221,47 @@ TEST(System, StatsDumpHasContent)
     EXPECT_NE(os.str().find("ctrl0.data_reads"), std::string::npos);
     EXPECT_NE(os.str().find("ctrl1.write_service_ns"),
               std::string::npos);
+}
+
+TEST(System, XbarRowsAloneSizesTheMat)
+{
+    // One key drives the whole mat: the address map places writes on
+    // wordlines past the default 512, and the timing surface built
+    // from the same xbar.rows covers them.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "ladder_xbar_rows";
+    fs::remove_all(dir);
+    const std::string traceArg = "trace-out=" + dir.string();
+    const char *argv[] = {"prog",          "workload=lbm",
+                          "xbar.rows=1024", "warmup=100000",
+                          "measure=1000000", "trace-format=bin2",
+                          traceArg.c_str()};
+    const ResolvedExperiment r = resolveExperiment(
+        static_cast<int>(std::size(argv)), argv, ExperimentConfig{});
+    const SchemeKind scheme = SchemeKind::LadderHybrid;
+
+    const SimResult result = runOne(scheme, "lbm", r.config);
+    EXPECT_GE(result.dataWrites, 1u);
+
+    TraceReader reader;
+    ASSERT_TRUE(reader.open(traceFilePath(r.config, scheme, "lbm")
+                                .string()))
+        << reader.error();
+    CtrlTraceRecord rec;
+    std::uint64_t writes = 0;
+    unsigned highest = 0;
+    while (reader.next(rec)) {
+        if (rec.kind != CtrlTraceRecord::Kind::Write)
+            continue;
+        ++writes;
+        highest = std::max<unsigned>(highest, rec.wordline);
+    }
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    EXPECT_GE(writes, 1u);
+    EXPECT_GT(highest, 511u);
+    EXPECT_LT(highest, 1024u);
+    fs::remove_all(dir);
 }
 
 } // namespace
