@@ -6,6 +6,7 @@
  * table buffer.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -54,9 +55,13 @@ try {
                 layout.basicOverhead() * 100);
     std::printf("  LADDER-Est     %5.2f%%   (paper 1.56%%)\n",
                 layout.estOverhead() * 100);
+    // A mat shorter than the low-precision band is low-precision
+    // throughout.
+    const unsigned lowRows =
+        std::min(cfg.schemeOptions.hybridLowRows, geo.matRows);
     std::printf("  LADDER-Hybrid  %5.2f%%   (paper 0.97%%, bottom "
-                "128 rows low-precision)\n",
-                layout.hybridOverhead(128) * 100);
+                "%u rows low-precision)\n",
+                layout.hybridOverhead(lowRows) * 100, lowRows);
 
     std::printf("\ncache-size scaling (CACTI-style):\n");
     std::printf("%10s %12s %12s %12s\n", "size KB", "area mm^2",

@@ -51,8 +51,8 @@ Cache::find(Addr lineAddr) const
     return const_cast<Cache *>(this)->find(lineAddr);
 }
 
-LineData *
-Cache::probe(Addr lineAddr)
+Cache::Way *
+Cache::lookup(Addr lineAddr)
 {
     Way *way = find(lineAddr);
     if (!way) {
@@ -61,6 +61,23 @@ Cache::probe(Addr lineAddr)
     }
     ++hits;
     way->lastUse = ++useCounter_;
+    return way;
+}
+
+LineData *
+Cache::probe(Addr lineAddr)
+{
+    Way *way = lookup(lineAddr);
+    return way ? &way->data : nullptr;
+}
+
+LineData *
+Cache::probeForWrite(Addr lineAddr)
+{
+    Way *way = lookup(lineAddr);
+    if (!way)
+        return nullptr;
+    way->dirty = true;
     return &way->data;
 }
 
@@ -68,14 +85,6 @@ bool
 Cache::contains(Addr lineAddr) const
 {
     return find(lineAddr) != nullptr;
-}
-
-void
-Cache::markDirty(Addr lineAddr)
-{
-    Way *way = find(lineAddr);
-    ladder_assert(way, "%s: markDirty on absent line", name_.c_str());
-    way->dirty = true;
 }
 
 bool
@@ -89,24 +98,30 @@ Cache::isDirty(Addr lineAddr) const
 CacheVictim
 Cache::insert(Addr lineAddr, const LineData &data, bool dirty)
 {
+    // One scan of the set finds a present copy, else the way to fill:
+    // the first invalid way, or the least recently used one.
     CacheVictim victim;
-    if (Way *existing = find(lineAddr)) {
-        existing->data = data;
-        existing->dirty = existing->dirty || dirty;
-        existing->lastUse = ++useCounter_;
-        return victim;
-    }
     unsigned set = setIndex(lineAddr);
+    Way *invalid = nullptr;
     Way *target = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
         Way &way = lines_[set * ways_ + w];
         if (!way.valid) {
-            target = &way;
-            break;
+            if (!invalid)
+                invalid = &way;
+            continue;
+        }
+        if (way.addr == lineAddr) {
+            way.data = data;
+            way.dirty = way.dirty || dirty;
+            way.lastUse = ++useCounter_;
+            return victim;
         }
         if (!target || way.lastUse < target->lastUse)
             target = &way;
     }
+    if (invalid)
+        target = invalid;
     if (target->valid) {
         ++evictions;
         victim.valid = true;

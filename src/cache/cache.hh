@@ -45,11 +45,11 @@ class Cache
     /** Line payload if present (updates recency); else nullptr. */
     LineData *probe(Addr lineAddr);
 
+    /** probe() for a store: a present line is also marked dirty. */
+    LineData *probeForWrite(Addr lineAddr);
+
     /** Presence check without recency update. */
     bool contains(Addr lineAddr) const;
-
-    /** Mark a (present) line dirty. */
-    void markDirty(Addr lineAddr);
 
     /** Whether a (present) line is dirty. */
     bool isDirty(Addr lineAddr) const;
@@ -101,6 +101,8 @@ class Cache
     unsigned setIndex(Addr lineAddr) const;
     Way *find(Addr lineAddr);
     const Way *find(Addr lineAddr) const;
+    /** A hit's way (counted, recency updated), or nullptr (a miss). */
+    Way *lookup(Addr lineAddr);
 };
 
 } // namespace ladder

@@ -25,10 +25,7 @@ CacheHierarchy::writebackInto(Cache &level, Cache *below, Addr addr,
                               const LineData &data,
                               std::vector<Writeback> &writebacks)
 {
-    if (level.contains(addr)) {
-        level.insert(addr, data, true); // merge + mark dirty
-        return;
-    }
+    // A present line merges and is marked dirty, with no victim.
     CacheVictim victim = level.insert(addr, data, true);
     if (!victim.valid || !victim.dirty)
         return;
@@ -94,9 +91,8 @@ CacheHierarchy::write(unsigned core, Addr lineAddr, unsigned offset,
     ladder_assert(core < params_.cores, "core id out of range");
     ladder_assert(offset + 8 <= lineBytes, "store crosses line");
 
-    if (LineData *line = l1_[core]->probe(lineAddr)) {
+    if (LineData *line = l1_[core]->probeForWrite(lineAddr)) {
         std::memcpy(line->data() + offset, bytes, 8);
-        l1_[core]->markDirty(lineAddr);
         return params_.l1HitNs;
     }
     if (LineData *line = l2_[core]->probe(lineAddr)) {

@@ -1,5 +1,7 @@
 #include "metadata_layout.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace ladder
@@ -55,8 +57,10 @@ MetadataLayout::hybridLowLine(const BlockLocation &loc) const
 double
 MetadataLayout::hybridOverhead(unsigned lowRows) const
 {
-    double lowFrac =
-        static_cast<double>(lowRows) / static_cast<double>(geo_.matRows);
+    // Rows past the mat's last wordline do not exist: a mat with no
+    // more than lowRows rows is low-precision throughout.
+    double lowFrac = static_cast<double>(std::min(lowRows, geo_.matRows)) /
+                     static_cast<double>(geo_.matRows);
     return lowFrac * (16.0 / 4096.0) + (1.0 - lowFrac) * estOverhead();
 }
 

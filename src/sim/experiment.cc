@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <numeric>
 
 #include "common/log.hh"
 #include "common/profiler.hh"
@@ -245,19 +246,33 @@ runMatrixParallel(const std::vector<SchemeKind> &schemes,
             report(plan[i]);
         }
     } else {
+        // Longest first: the pool runs jobs FIFO, so submitting the
+        // cells with the most programs first keeps a multi-core mix
+        // cell from starting last while the other workers idle. Ties
+        // keep canonical order. Only the start order changes: each
+        // job still owns slot i.
+        std::vector<std::size_t> programs(total);
+        for (std::size_t i = 0; i < total; ++i)
+            programs[i] = workloadPrograms(plan[i].workload).size();
+        std::vector<std::size_t> order(total);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return programs[a] > programs[b];
+                         });
         ThreadPool pool(jobs);
-        std::vector<std::future<void>> futures;
-        futures.reserve(total);
-        for (std::size_t i = 0; i < total; ++i) {
-            futures.push_back(pool.submit([&, i]() {
+        std::vector<std::future<void>> futures(total);
+        for (std::size_t i : order) {
+            futures[i] = pool.submit([&, i]() {
                 slots[i] = runOne(plan[i].scheme, plan[i].workload,
                                   config);
                 report(plan[i]);
-            }));
+            });
         }
-        // get() rethrows the first failed run's exception, matching
-        // the serial path; every job has finished by the time the
-        // pool's futures resolve, so no slot is written afterwards.
+        // get() walks canonical order and rethrows the first failed
+        // cell's exception, matching the serial path; every job has
+        // finished by the time the pool's futures resolve, so no slot
+        // is written afterwards.
         for (auto &future : futures)
             future.get();
     }

@@ -76,9 +76,11 @@ struct ExperimentConfig
     /**
      * Sweep parallelism for runMatrixParallel: number of concurrent
      * runOne jobs. 0 selects hardware_concurrency; 1 runs the sweep
-     * serially on the calling thread. Results are bit-identical for
-     * every value — each run owns its System, Rng, and Stats, so
-     * scheduling order cannot leak into the metrics.
+     * serially on the calling thread. With more than one job the
+     * cells with the most programs start first. Results are
+     * bit-identical for every value — each run owns its System,
+     * Rng, and Stats, so scheduling order cannot leak into the
+     * metrics.
      */
     unsigned jobs = 0;
     /**
@@ -208,14 +210,20 @@ struct Matrix
 /**
  * Run the full (scheme x workload) sweep, scheduling each runOne as
  * an independent job on config.jobs worker threads (0 = one per
- * hardware thread, 1 = serial on the calling thread).
+ * hardware thread, 1 = serial on the calling thread, in canonical
+ * order).
  *
- * Results are committed into the Matrix in canonical (workload,
- * scheme) order once every job has finished, so the returned Matrix
- * is bit-identical regardless of the job count or scheduling order.
- * Progress is reported on stderr (interactive terminals only) from an
- * atomic completion counter. The first exception thrown by any run is
- * rethrown here after the remaining jobs drain.
+ * With more than one job, cells are submitted longest first: by
+ * descending workloadPrograms() count (a 4-core mix before a 1-core
+ * program), ties in canonical order, so the costliest cells never
+ * start last on an otherwise idle pool. Results do not
+ * depend on that order: they are committed into the Matrix in
+ * canonical (workload, scheme) order once every job has finished, so
+ * the returned Matrix and every exported file are bit-identical
+ * regardless of the job count or scheduling order. Progress is
+ * reported on stderr (interactive terminals only) from an atomic
+ * completion counter. The first exception, in canonical order, thrown
+ * by any run is rethrown here after the remaining jobs drain.
  */
 Matrix runMatrixParallel(const std::vector<SchemeKind> &schemes,
                          const std::vector<std::string> &workloads,

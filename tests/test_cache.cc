@@ -78,13 +78,16 @@ TEST(Cache, InsertOnExistingMergesDirty)
     EXPECT_EQ((*c.probe(0))[0], 2);
 }
 
-TEST(Cache, MarkDirty)
+TEST(Cache, ProbeForWriteMarksDirty)
 {
     Cache c = tiny();
     c.insert(0, byteLine(1), false);
     EXPECT_FALSE(c.isDirty(0));
-    c.markDirty(0);
+    ASSERT_NE(c.probeForWrite(0), nullptr);
     EXPECT_TRUE(c.isDirty(0));
+    // A miss marks nothing and returns no line.
+    EXPECT_EQ(c.probeForWrite(64), nullptr);
+    EXPECT_FALSE(c.contains(64));
 }
 
 TEST(Cache, InvalidateDropsSilently)

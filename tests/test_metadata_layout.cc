@@ -132,6 +132,21 @@ TEST(MetadataLayout, StorageOverheadsMatchPaper)
     EXPECT_LT(l.hybridOverhead(256), l.hybridOverhead(128));
 }
 
+TEST(MetadataLayout, HybridOverheadClampsLowRows)
+{
+    // A 64-row mat under the default 128 low-precision rows is
+    // low-precision throughout: one line per 4 pages, never a
+    // low-precision fraction above 1 (a negative overhead).
+    MemoryGeometry geo;
+    geo.matRows = 64;
+    AddressMap map(geo);
+    MetadataLayout l(geo, map.totalPages() * 3 / 4);
+    EXPECT_EQ(l.hybridOverhead(128), 16.0 / 4096.0);
+    EXPECT_EQ(l.hybridOverhead(64), 16.0 / 4096.0);
+    for (unsigned lowRows : {0u, 32u, 64u, 128u, 4096u})
+        EXPECT_GT(l.hybridOverhead(lowRows), 0.0) << lowRows;
+}
+
 TEST(MetadataLayout, OutOfRangePagePanics)
 {
     MetadataLayout l = layout();

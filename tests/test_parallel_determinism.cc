@@ -2,10 +2,12 @@
  * @file
  * Regression gate for the parallel sweep's determinism guarantee:
  * runMatrixParallel must produce bit-identical SimResults regardless
- * of the job count. A small (3 scheme x 3 workload) matrix is run at
- * jobs=1 (the serial path) and jobs=8 (heavily oversubscribed on most
- * machines, maximizing scheduling permutations) and every result
- * field is compared at the bit level.
+ * of the job count. A small (3 scheme x 4 workload) matrix is run at
+ * jobs=1 (the serial path), jobs=4 and jobs=8 (heavily oversubscribed
+ * on most machines, maximizing scheduling permutations) and every
+ * result field is compared at the bit level. Its 4-core mix-1 cells
+ * are dispatched first, so the start order differs from the
+ * canonical order the results are committed in.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/json.hh"
@@ -100,21 +103,25 @@ TEST(ParallelDeterminism, SerialAndParallelSweepsAreBitIdentical)
     const std::vector<SchemeKind> schemes = {
         SchemeKind::Baseline, SchemeKind::SplitReset,
         SchemeKind::LadderHybrid};
-    const std::vector<std::string> workloads = {"astar", "lbm",
-                                                "mcf"};
+    // mix-1 runs four programs, so with more than one job its cells
+    // start before the 1-core cells canonically ahead of them.
+    const std::vector<std::string> workloads = {"astar", "lbm", "mcf",
+                                                "mix-1"};
 
     Matrix serial =
         runMatrixParallel(schemes, workloads, quickConfig(1));
-    Matrix parallel =
-        runMatrixParallel(schemes, workloads, quickConfig(8));
-
     ASSERT_EQ(serial.results.size(), workloads.size() * schemes.size());
-    ASSERT_EQ(serial.results.size(), parallel.results.size());
-    for (const auto &workload : workloads) {
-        for (SchemeKind kind : schemes) {
-            SCOPED_TRACE(schemeKindName(kind) + " / " + workload);
-            expectBitIdentical(serial.at(kind, workload),
-                               parallel.at(kind, workload));
+    for (unsigned jobs : {4u, 8u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        Matrix parallel =
+            runMatrixParallel(schemes, workloads, quickConfig(jobs));
+        ASSERT_EQ(serial.results.size(), parallel.results.size());
+        for (const auto &workload : workloads) {
+            for (SchemeKind kind : schemes) {
+                SCOPED_TRACE(schemeKindName(kind) + " / " + workload);
+                expectBitIdentical(serial.at(kind, workload),
+                                   parallel.at(kind, workload));
+            }
         }
     }
 }
@@ -136,17 +143,21 @@ TEST(ParallelDeterminism, StatsJsonIdenticalAtAnyJobCount)
     const std::vector<SchemeKind> schemes = {
         SchemeKind::Baseline, SchemeKind::SplitReset,
         SchemeKind::LadderHybrid};
-    const std::vector<std::string> workloads = {"lbm", "mcf"};
+    const std::vector<std::string> workloads = {"lbm", "mcf", "mix-1"};
     namespace fs = std::filesystem;
     const fs::path base =
         fs::path(::testing::TempDir()) / "ladder_determinism_stats";
     fs::remove_all(base);
-    for (unsigned jobs : {1u, 8u}) {
+    for (unsigned jobs : {1u, 4u, 8u}) {
         ExperimentConfig cfg = quickConfig(jobs);
         cfg.statsJsonDir = (base / ("j" + std::to_string(jobs))).string();
         runMatrixParallel(schemes, workloads, cfg);
     }
 
+    const std::string index = slurp(base / "j1" / "sweep.json");
+    ASSERT_FALSE(index.empty());
+    EXPECT_EQ(index, slurp(base / "j4" / "sweep.json"));
+    EXPECT_EQ(index, slurp(base / "j8" / "sweep.json"));
     for (const auto &workload : workloads) {
         for (SchemeKind kind : schemes) {
             const fs::path rel =
@@ -154,6 +165,7 @@ TEST(ParallelDeterminism, StatsJsonIdenticalAtAnyJobCount)
             SCOPED_TRACE(rel.string());
             const std::string serial = slurp(base / "j1" / rel);
             ASSERT_FALSE(serial.empty());
+            EXPECT_EQ(serial, slurp(base / "j4" / rel));
             EXPECT_EQ(serial, slurp(base / "j8" / rel));
             const JsonValue solver = parseJson(serial).at("solver");
             EXPECT_EQ(solver.at("solves").number,
@@ -161,6 +173,29 @@ TEST(ParallelDeterminism, StatsJsonIdenticalAtAnyJobCount)
         }
     }
     fs::remove_all(base);
+}
+
+TEST(ParallelDeterminism, CanonicallyFirstFailureSurfaces)
+{
+    // Two failing cells: the mix-1 cell (a bad override) is
+    // canonically later than 'nope-a' but, with four programs,
+    // dispatched first. The sweep still rethrows the canonically
+    // first failure at every job count.
+    for (unsigned jobs : {1u, 4u, 8u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        ExperimentConfig cfg = quickConfig(jobs);
+        cfg.cellOverrides.push_back(
+            {"baseline", "mix-1", {{"measure", "bogus"}}});
+        try {
+            runMatrixParallel({SchemeKind::Baseline},
+                              {"lbm", "nope-a", "mix-1"}, cfg);
+            ADD_FAILURE() << "a failing cell did not surface";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("'nope-a'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ParallelDeterminism, CellCrossbarOverrideMatchesStandaloneRun)
