@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <future>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hh"
 #include "common/thread_pool.hh"
@@ -88,41 +90,25 @@ try {
     // The four configurations are independent full-system runs; each
     // owns its System and remapper, so they parallelize like any
     // other sweep cell.
-    Outcome baseNo, baseWl, hybNo, hybWl;
+    const std::pair<SchemeKind, bool> runs[] = {
+        {SchemeKind::Baseline, false},
+        {SchemeKind::Baseline, true},
+        {SchemeKind::LadderHybrid, false},
+        {SchemeKind::LadderHybrid, true},
+    };
     unsigned jobs = cfg.jobs != 0 ? cfg.jobs
                                   : ThreadPool::defaultJobs();
-    if (jobs <= 1) {
-        baseNo = runWithWearLeveling(SchemeKind::Baseline, workload,
-                                     cfg, false);
-        baseWl = runWithWearLeveling(SchemeKind::Baseline, workload,
-                                     cfg, true);
-        hybNo = runWithWearLeveling(SchemeKind::LadderHybrid,
-                                    workload, cfg, false);
-        hybWl = runWithWearLeveling(SchemeKind::LadderHybrid,
-                                    workload, cfg, true);
-    } else {
-        ThreadPool pool(std::min(jobs, 4u));
-        auto fBaseNo = pool.submit([&]() {
-            return runWithWearLeveling(SchemeKind::Baseline,
-                                       workload, cfg, false);
-        });
-        auto fBaseWl = pool.submit([&]() {
-            return runWithWearLeveling(SchemeKind::Baseline,
-                                       workload, cfg, true);
-        });
-        auto fHybNo = pool.submit([&]() {
-            return runWithWearLeveling(SchemeKind::LadderHybrid,
-                                       workload, cfg, false);
-        });
-        auto fHybWl = pool.submit([&]() {
-            return runWithWearLeveling(SchemeKind::LadderHybrid,
-                                       workload, cfg, true);
-        });
-        baseNo = fBaseNo.get();
-        baseWl = fBaseWl.get();
-        hybNo = fHybNo.get();
-        hybWl = fHybWl.get();
+    ThreadPool pool(std::clamp(jobs, 1u, 4u));
+    std::vector<std::future<Outcome>> futures;
+    for (const auto &[kind, leveled] : runs) {
+        futures.push_back(pool.submit([&, kind, leveled]() {
+            return runWithWearLeveling(kind, workload, cfg, leveled);
+        }));
     }
+    const Outcome baseNo = futures[0].get();
+    const Outcome baseWl = futures[1].get();
+    const Outcome hybNo = futures[2].get();
+    const Outcome hybWl = futures[3].get();
 
     std::printf("%-26s %10s %12s %14s %12s\n", "configuration", "IPC",
                 "writes", "gap moves", "unevenness");

@@ -37,11 +37,10 @@ CacheHierarchy::writebackInto(Cache &level, Cache *below, Addr addr,
 }
 
 void
-CacheHierarchy::installClean(unsigned core, Cache &level, Cache *below,
-                             Addr addr, const LineData &data,
+CacheHierarchy::installClean(Cache &level, Cache *below, Addr addr,
+                             const LineData &data,
                              std::vector<Writeback> &writebacks)
 {
-    (void)core;
     // Never clobber an existing copy with a (possibly stale) clean
     // fill: whatever the level holds is at least as recent.
     if (level.contains(addr))
@@ -67,16 +66,15 @@ CacheHierarchy::read(unsigned core, Addr lineAddr,
     if (LineData *line = l2_[core]->probe(lineAddr)) {
         LineData data = *line;
         // Promote a clean copy; dirtiness stays at the lower level.
-        installClean(core, *l1_[core], l2_[core].get(), lineAddr, data,
+        installClean(*l1_[core], l2_[core].get(), lineAddr, data,
                      writebacks);
         return ReadResult{params_.l2HitNs, data};
     }
 
     if (LineData *line = l3_->probe(lineAddr)) {
         LineData data = *line;
-        installClean(core, *l2_[core], l3_.get(), lineAddr, data,
-                     writebacks);
-        installClean(core, *l1_[core], l2_[core].get(), lineAddr, data,
+        installClean(*l2_[core], l3_.get(), lineAddr, data, writebacks);
+        installClean(*l1_[core], l2_[core].get(), lineAddr, data,
                      writebacks);
         return ReadResult{params_.l3HitNs, data};
     }
@@ -119,10 +117,9 @@ CacheHierarchy::fill(unsigned core, Addr lineAddr, const LineData &data,
                      std::vector<Writeback> &writebacks)
 {
     ladder_assert(core < params_.cores, "core id out of range");
-    installClean(core, *l3_, nullptr, lineAddr, data, writebacks);
-    installClean(core, *l2_[core], l3_.get(), lineAddr, data,
-                 writebacks);
-    installClean(core, *l1_[core], l2_[core].get(), lineAddr, data,
+    installClean(*l3_, nullptr, lineAddr, data, writebacks);
+    installClean(*l2_[core], l3_.get(), lineAddr, data, writebacks);
+    installClean(*l1_[core], l2_[core].get(), lineAddr, data,
                  writebacks);
 }
 

@@ -99,8 +99,8 @@ class CacheHierarchy
                        std::vector<Writeback> &writebacks);
 
     /** Insert a clean fill into a level, cascading its victim. */
-    void installClean(unsigned core, Cache &level, Cache *below,
-                      Addr addr, const LineData &data,
+    void installClean(Cache &level, Cache *below, Addr addr,
+                      const LineData &data,
                       std::vector<Writeback> &writebacks);
 };
 

@@ -71,8 +71,6 @@ class Core
      */
     void functionalWarmup(std::uint64_t instructions);
 
-    /** Instructions issued so far (all phases). */
-    std::uint64_t instrIssued() const { return instrIssued_; }
     /** Core-local clock in ticks. */
     Tick coreTime() const { return coreTime_; }
     /** Cycles elapsed between two core times. */
@@ -159,7 +157,6 @@ class Core
     void pushWritebacks(std::vector<Writeback> &&writebacks);
     void retireCompleted();
     Addr physOf(Addr regionRelative) const;
-    void finishPhaseIfDone();
 };
 
 } // namespace ladder

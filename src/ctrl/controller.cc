@@ -287,13 +287,6 @@ MemoryController::enqueueWrite(Addr lineAddr, const LineData &data)
 }
 
 void
-MemoryController::injectWrite(Addr lineAddr, const LineData &data)
-{
-    Addr phys = physAddr(lineAddr);
-    admitWrite(phys, map_.decode(phys), data, /*remapCopy=*/false);
-}
-
-void
 MemoryController::injectPhysicalWrite(Addr physTo, const LineData &data)
 {
     admitWrite(physTo, map_.decode(physTo), data, /*remapCopy=*/true);
@@ -311,8 +304,6 @@ MemoryController::admitWrite(Addr phys, const BlockLocation &loc,
     entry.enqueueTick = events_.now();
     entry.readyTick = entry.enqueueTick;
     entry.isRemapCopy = remapCopy;
-    // Hook first: wear-leveling decorators may advance per-line state
-    // that the encoding depends on.
     scheme_->onWriteEnqueued(*this, entry);
     entry.physData = scheme_->encodeData(phys, data);
 
@@ -796,14 +787,11 @@ MemoryController::issueOneWrite()
             scheme_->decideWrite(*this, taken, fnw.data);
         // Energy uses the scheme-independent content-true power model
         // so Fig. 17 comparisons are fair across schemes.
-        if (!timing_.power.empty()) {
-            decision.powerMw =
-                timing_.power.lookup(taken.loc.wordline,
-                                     taken.loc.worstBitline(),
-                                     taken.dispatchCw,
-                                     taken.dispatchCbl) *
-                decision.powerScale;
-        }
+        const double powerMw =
+            timing_.power.lookup(taken.loc.wordline,
+                                 taken.loc.worstBitline(),
+                                 taken.dispatchCw, taken.dispatchCbl) *
+            decision.powerScale;
 
         WriteAttribution attr{};
         if (cfg_.attribution)
@@ -847,7 +835,7 @@ MemoryController::issueOneWrite()
         taken.physData = fnw.data;
         const std::uint32_t slot = writesInFlight_.put(
             InFlightWrite{std::move(taken), line, decision.latencyNs,
-                          decision.powerMw});
+                          powerMw});
         events_.schedule(busy, [this, slot]() {
             completeWrite(writesInFlight_.take(slot));
         });

@@ -180,12 +180,6 @@ class MemoryController
     void enqueueMetadataWrite(Addr metaAddr);
 
     /**
-     * Inject extra write traffic that bypasses queue admission (used
-     * by wear-leveling segment swaps). Accounted as data writes.
-     */
-    void injectWrite(Addr lineAddr, const LineData &data);
-
-    /**
      * Inject a write to an already-physical address (no remapping);
      * used for wear-leveling line copies.
      */
@@ -229,10 +223,6 @@ class MemoryController
     {
         return pageWrites_;
     }
-
-    /** Demand reads currently outstanding (for drain decisions). */
-    std::size_t pendingReads() const { return readQueue_.size(); }
-    std::size_t pendingWrites() const { return writeQueue_.size(); }
 
     const WriteScheme &scheme() const { return *scheme_; }
 

@@ -72,11 +72,10 @@ struct WriteEntry
     }
 };
 
-/** Latency (and array power) chosen for one write dispatch. */
+/** Latency chosen for one write dispatch. */
 struct WriteDecision
 {
     double latencyNs = 0.0;
-    double powerMw = 0.0;
     /**
      * Scaling of the content-true array power used for energy
      * accounting; Split-reset sets < 1 because each half-RESET phase

@@ -45,8 +45,6 @@ struct MemoryGeometry
      */
     static constexpr unsigned subarraySlots = 4;
 
-    /** Pages stored by one mat group (one page per wordline). */
-    unsigned pagesPerMatGroup() const { return matRows; }
     /** Pages per bank. */
     std::uint64_t
     pagesPerBank() const

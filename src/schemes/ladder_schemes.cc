@@ -40,7 +40,7 @@ LadderBasicScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     accurateCw.sample(cw);
     const TimingEntry &t = ctrl.ladderTiming(
         entry.loc.wordline, entry.loc.worstBitline(), cw);
-    return {t.latencyNs, t.powerMw};
+    return {t.latencyNs};
 }
 
 WriteBlameHint
@@ -177,7 +177,7 @@ LadderEstScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     ladder_assert(!entry.metaAddrs.empty(),
                   "Est write without metadata line");
     ctrl.metadataCache().markDirty(entry.metaAddrs[0]);
-    return {t.latencyNs, t.powerMw};
+    return {t.latencyNs};
 }
 
 WriteBlameHint
@@ -279,7 +279,7 @@ LadderHybridScheme::decideWrite(MemoryController &ctrl,
     ladder_assert(!entry.metaAddrs.empty(),
                   "Hybrid write without metadata line");
     ctrl.metadataCache().markDirty(entry.metaAddrs[0]);
-    return {t.latencyNs, t.powerMw};
+    return {t.latencyNs};
 }
 
 } // namespace ladder

@@ -13,7 +13,7 @@ BaselineScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     // The pessimistic fixed latency: the far corner of the table.
     const TimingEntry &worst =
         table.at(table.wlBuckets() - 1, table.blBuckets() - 1, 0);
-    return {worst.latencyNs, worst.powerMw};
+    return {worst.latencyNs};
 }
 
 WriteDecision
@@ -23,7 +23,7 @@ LocationScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     (void)finalData;
     const TimingEntry &t = ctrl.locationTiming(
         entry.loc.wordline, entry.loc.worstBitline());
-    return {t.latencyNs, t.powerMw};
+    return {t.latencyNs};
 }
 
 WriteBlameHint
@@ -46,7 +46,7 @@ OracleScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     const TimingEntry &t = ctrl.ladderTiming(
         entry.loc.wordline, entry.loc.worstBitline(),
         entry.dispatchCw);
-    return {t.latencyNs, t.powerMw};
+    return {t.latencyNs};
 }
 
 WriteBlameHint
@@ -70,7 +70,7 @@ BlpScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
     const TimingEntry &t = ctrl.blpTiming(
         entry.loc.wordline, entry.loc.worstBitline(),
         entry.dispatchCbl);
-    return {t.latencyNs, t.powerMw};
+    return {t.latencyNs};
 }
 
 WriteBlameHint

@@ -45,7 +45,7 @@ SplitResetScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
         entry.loc.wordline, entry.loc.worstBitline(), 0);
     unsigned phases = compressible ? 1 : 2;
     // Each half-RESET phase drives half the selected cells.
-    return {phase.latencyNs * phases, phase.powerMw, 0.6};
+    return {phase.latencyNs * phases, 0.6};
 }
 
 WriteBlameHint

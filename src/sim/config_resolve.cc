@@ -449,11 +449,6 @@ registerExperimentParams(Registry &reg)
     // ---------------------------------------------------------------
     // External trace replay (trace:<path> workloads)
     // ---------------------------------------------------------------
-    reg.addChoice("extern.format",
-                  LADDER_FIELD(system.frontend.externFormat),
-                  "External trace:<path> encoding ('auto' sniffs the "
-                  "bin2 magic, else DRAMsim3 text)",
-                  {"auto", "dramsim3", "bin2"});
     reg.addInt<std::uint64_t>(
         "extern.footprint-pages",
         LADDER_FIELD(system.frontend.externFootprintPages),

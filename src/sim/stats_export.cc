@@ -158,8 +158,7 @@ makeRunManifest(SchemeKind scheme, const std::string &workload,
     m.epochCycles = config.epochCycles;
     m.gitDescribe = gitDescribeString();
     if (isTraceWorkload(workload)) {
-        auto trace = externTraceInfoFor(workload,
-                                        config.system.frontend);
+        auto trace = externTraceInfoFor(workload);
         m.hasExternTrace = true;
         m.externTracePath = traceWorkloadPath(workload);
         m.externTraceFormat = externTraceFormatName(trace->format);

@@ -17,25 +17,10 @@
 namespace ladder
 {
 
-ExternTraceFormat
-externTraceFormatFromName(const std::string &name)
-{
-    if (name == "auto")
-        return ExternTraceFormat::Auto;
-    if (name == "dramsim3")
-        return ExternTraceFormat::Dramsim3;
-    if (name == "bin2")
-        return ExternTraceFormat::Bin2;
-    fatal("unknown external trace format '%s' (expected "
-          "auto/dramsim3/bin2)",
-          name.c_str());
-}
-
 std::string
 externTraceFormatName(ExternTraceFormat format)
 {
     switch (format) {
-      case ExternTraceFormat::Auto: return "auto";
       case ExternTraceFormat::Dramsim3: return "dramsim3";
       case ExternTraceFormat::Bin2: return "bin2";
     }
@@ -216,15 +201,13 @@ parseBin2(const std::string &bytes, ExternParseResult &out)
 } // anonymous namespace
 
 ExternParseResult
-parseExternTrace(const std::string &bytes, ExternTraceFormat format)
+parseExternTrace(const std::string &bytes)
 {
     ExternParseResult out;
-    if (format == ExternTraceFormat::Auto)
-        format = looksLikeBin2(bytes) ? ExternTraceFormat::Bin2
+    out.format = looksLikeBin2(bytes) ? ExternTraceFormat::Bin2
                                       : ExternTraceFormat::Dramsim3;
-    out.format = format;
     out.crc32 = crc32(bytes.data(), bytes.size());
-    if (format == ExternTraceFormat::Bin2)
+    if (out.format == ExternTraceFormat::Bin2)
         parseBin2(bytes, out);
     else
         parseDramsim3(bytes, out);
@@ -234,17 +217,15 @@ parseExternTrace(const std::string &bytes, ExternTraceFormat format)
 }
 
 std::shared_ptr<const ExternParseResult>
-loadExternTrace(const std::string &path, ExternTraceFormat format)
+loadExternTrace(const std::string &path)
 {
     static std::mutex mutex;
-    static std::map<std::pair<std::string, int>,
+    static std::map<std::string,
                     std::shared_ptr<const ExternParseResult>>
         cache;
-    const std::pair<std::string, int> key{path,
-                                          static_cast<int>(format)};
     {
         std::lock_guard<std::mutex> lock(mutex);
-        auto it = cache.find(key);
+        auto it = cache.find(path);
         if (it != cache.end())
             return it->second;
     }
@@ -255,13 +236,13 @@ loadExternTrace(const std::string &path, ExternTraceFormat format)
     } else {
         std::ostringstream buffer;
         buffer << is.rdbuf();
-        *result = parseExternTrace(buffer.str(), format);
+        *result = parseExternTrace(buffer.str());
     }
     std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(key);
+    auto it = cache.find(path);
     if (it != cache.end())
         return it->second; // lost a benign race; keep the first
-    cache.emplace(key, result);
+    cache.emplace(path, result);
     return result;
 }
 

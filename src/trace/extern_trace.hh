@@ -2,7 +2,8 @@
  * @file
  * External trace ingestion: replay memory traces that were *not*
  * produced by this simulator's TraceSource machinery as first-class
- * workloads. Two encodings are accepted:
+ * workloads. Two encodings are accepted, told apart by the bin2
+ * "LADDRTRC" magic (anything else is parsed as text):
  *
  *  - DRAMsim3-style text: one `<hexaddr> <READ|WRITE|R|W> <cycle>`
  *    request per line, '#' comments and blank lines ignored. The
@@ -41,11 +42,9 @@
 namespace ladder
 {
 
-/** Supported external encodings (Auto sniffs the magic). */
-enum class ExternTraceFormat { Auto, Dramsim3, Bin2 };
+/** Supported external encodings. */
+enum class ExternTraceFormat { Dramsim3, Bin2 };
 
-/** Parse a format name ("auto", "dramsim3", "bin2"); fatal on junk. */
-ExternTraceFormat externTraceFormatFromName(const std::string &name);
 std::string externTraceFormatName(ExternTraceFormat format);
 
 /** One parsed external request, normalized across formats. */
@@ -70,20 +69,19 @@ struct ExternParseResult
 };
 
 /**
- * Parse @p bytes as an external trace. @p format Auto detects bin2 by
- * its "LADDRTRC" magic and falls back to the text parser. Never
- * throws; malformed input fills `error`.
+ * Parse @p bytes as an external trace: bin2 when they start with its
+ * "LADDRTRC" magic, DRAMsim3 text otherwise. Never throws; malformed
+ * input fills `error`.
  */
-ExternParseResult parseExternTrace(const std::string &bytes,
-                                   ExternTraceFormat format);
+ExternParseResult parseExternTrace(const std::string &bytes);
 
 /**
- * Load and parse @p path. Results are memoized per (canonical path,
- * format) under a mutex so a sweep building hundreds of Systems pays
- * the parse once; the cache never invalidates within a process.
+ * Load and parse @p path. Results are memoized per path under a mutex
+ * so a sweep building hundreds of Systems pays the parse once; the
+ * cache never invalidates within a process.
  */
 std::shared_ptr<const ExternParseResult>
-loadExternTrace(const std::string &path, ExternTraceFormat format);
+loadExternTrace(const std::string &path);
 
 /** Content-synthesis policy for payload-less trace formats. */
 enum class ExternContentMode
@@ -98,7 +96,6 @@ ExternContentMode externContentModeFromName(const std::string &name);
 /** Knobs of the external-trace workload (registry: extern.*). */
 struct ExternTraceOptions
 {
-    ExternTraceFormat format = ExternTraceFormat::Auto;
     /** Replay footprint in 4KB pages (addresses fold into it). */
     std::uint64_t footprintPages = 1024;
     ExternContentMode content = ExternContentMode::Auto;

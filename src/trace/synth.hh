@@ -60,7 +60,6 @@ class SyntheticTrace
     TraceRecord next();
 
     const WorkloadParams &params() const { return params_; }
-    const DataPatternModel &patternModel() const { return pattern_; }
 
     /** Region footprint in bytes (for placing cores side by side). */
     std::uint64_t

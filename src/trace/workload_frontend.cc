@@ -69,14 +69,11 @@ validateWorkloadName(const std::string &name,
 }
 
 std::shared_ptr<const ExternParseResult>
-externTraceInfoFor(const std::string &name,
-                   const WorkloadFrontendOptions &options)
+externTraceInfoFor(const std::string &name)
 {
     ladder_assert(isTraceWorkload(name),
                   "'%s' is not a trace: workload", name.c_str());
-    auto trace =
-        loadExternTrace(traceWorkloadPath(name),
-                        externTraceFormatFromName(options.externFormat));
+    auto trace = loadExternTrace(traceWorkloadPath(name));
     if (!trace->ok())
         fatal("workload '%s': %s", name.c_str(),
               trace->error.c_str());
@@ -92,9 +89,8 @@ makeWorkloadInstance(const std::string &name, std::uint64_t seedSalt,
     inst.name = name;
 
     if (isTraceWorkload(name)) {
-        auto trace = externTraceInfoFor(name, options);
+        auto trace = externTraceInfoFor(name);
         ExternTraceOptions opts;
-        opts.format = trace->format; // resolved, never Auto
         opts.footprintPages = options.externFootprintPages;
         opts.content =
             externContentModeFromName(options.externContent);

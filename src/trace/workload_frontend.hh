@@ -38,7 +38,6 @@ namespace ladder
  */
 struct WorkloadFrontendOptions
 {
-    std::string externFormat = "auto"; //!< auto | dramsim3 | bin2
     std::uint64_t externFootprintPages = 1024;
     std::string externContent = "auto"; //!< auto | pattern | lrs
 };
@@ -91,8 +90,7 @@ makeWorkloadInstance(const std::string &name, std::uint64_t seedSalt,
  * malformed — callers validate names before building manifests.
  */
 std::shared_ptr<const ExternParseResult>
-externTraceInfoFor(const std::string &name,
-                   const WorkloadFrontendOptions &options);
+externTraceInfoFor(const std::string &name);
 
 } // namespace ladder
 

@@ -40,7 +40,7 @@ struct LifetimeEstimate
  *        writes spread over); 0 = use the touched set.
  * @param cellEnduranceWrites Per-cell endurance (1e8 typical ReRAM).
  * @param levelingEfficiency Fraction of ideal spreading the deployed
- *        wear-leveling achieves (Start-Gap ~0.5, segment ~0.6).
+ *        wear-leveling achieves (Start-Gap ~0.5).
  */
 LifetimeEstimate
 estimateLifetime(const std::unordered_map<std::uint64_t,

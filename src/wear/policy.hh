@@ -21,7 +21,7 @@ struct WearPolicy
     double cellEndurance = 1e8;
     /**
      * Fraction of ideal write spreading the deployed wear-leveling
-     * achieves (Start-Gap ~0.5, segment-based ~0.6).
+     * achieves (Start-Gap ~0.5).
      */
     double levelingEfficiency = 0.5;
 };

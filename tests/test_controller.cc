@@ -303,7 +303,7 @@ TEST(Controller, InjectedWritesBypassAdmission)
             break;
         }
     }
-    ctrl.injectWrite(addr, patternLine(8));
+    ctrl.injectPhysicalWrite(addr, patternLine(8));
     rig.events.runUntil();
     EXPECT_EQ(ctrl.dataWrites.value(), 1.0);
 }

@@ -144,8 +144,7 @@ TEST(ExternParse, Dramsim3RoundTrip)
 {
     std::vector<ExternRecord> expected;
     std::string text = makeDramsim3Text(200, 0xD1, &expected);
-    ExternParseResult result =
-        parseExternTrace(text, ExternTraceFormat::Auto);
+    ExternParseResult result = parseExternTrace(text);
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_EQ(result.format, ExternTraceFormat::Dramsim3);
     ASSERT_EQ(result.records.size(), expected.size());
@@ -167,8 +166,7 @@ TEST(ExternParse, Dramsim3AcceptsCommonVariants)
                              "1f40 W 2\r\n"
                              "0X1F80\tr\t3\n"
                              "  1fc0 write 4  \n";
-    ExternParseResult result =
-        parseExternTrace(text, ExternTraceFormat::Dramsim3);
+    ExternParseResult result = parseExternTrace(text);
     ASSERT_TRUE(result.ok()) << result.error;
     ASSERT_EQ(result.records.size(), 4u);
     EXPECT_EQ(result.records[0].addr, 0x1f00u);
@@ -203,8 +201,7 @@ TEST(ExternParse, Dramsim3RejectsMalformedLines)
         {"0x40 READ 1\n\x01\x02\x03\n", "non-text"}, // binary bytes
     };
     for (const Case &c : bad) {
-        ExternParseResult result =
-            parseExternTrace(c.text, ExternTraceFormat::Dramsim3);
+        ExternParseResult result = parseExternTrace(c.text);
         EXPECT_FALSE(result.ok()) << "accepted: " << c.text;
         EXPECT_TRUE(result.records.empty());
         EXPECT_NE(result.error.find(c.needle), std::string::npos)
@@ -212,8 +209,7 @@ TEST(ExternParse, Dramsim3RejectsMalformedLines)
     }
     // Errors carry the offending line number.
     ExternParseResult lined = parseExternTrace(
-        "0x40 READ 1\n0x80 WRITE 2\nbogus\n",
-        ExternTraceFormat::Dramsim3);
+        "0x40 READ 1\n0x80 WRITE 2\nbogus\n");
     ASSERT_FALSE(lined.ok());
     EXPECT_NE(lined.error.find("line 3"), std::string::npos)
         << lined.error;
@@ -222,12 +218,11 @@ TEST(ExternParse, Dramsim3RejectsMalformedLines)
 TEST(ExternParse, Dramsim3EveryTruncationNeverCrashes)
 {
     std::string whole = makeDramsim3Text(24, 0xD2);
-    ExternParseResult full =
-        parseExternTrace(whole, ExternTraceFormat::Dramsim3);
+    ExternParseResult full = parseExternTrace(whole);
     ASSERT_TRUE(full.ok());
     for (std::size_t len = 0; len < whole.size(); ++len) {
-        ExternParseResult result = parseExternTrace(
-            whole.substr(0, len), ExternTraceFormat::Dramsim3);
+        ExternParseResult result =
+            parseExternTrace(whole.substr(0, len));
         // Text truncation at a line boundary is a legal shorter
         // trace; mid-line truncation or an empty result must error.
         if (result.ok()) {
@@ -248,8 +243,7 @@ TEST(ExternParse, Bin2RoundTripAndAutoDetect)
 {
     auto records = randomCtrlRecords(100, 0xB1);
     std::string bytes = serializeBin2(records, 16);
-    ExternParseResult result =
-        parseExternTrace(bytes, ExternTraceFormat::Auto);
+    ExternParseResult result = parseExternTrace(bytes);
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_EQ(result.format, ExternTraceFormat::Bin2);
     ASSERT_EQ(result.records.size(), records.size());
@@ -275,8 +269,8 @@ TEST(ExternParse, Bin2EveryTruncationIsAnError)
     auto records = randomCtrlRecords(20, 0xB2);
     std::string whole = serializeBin2(records, 8);
     for (std::size_t len = 0; len < whole.size(); ++len) {
-        ExternParseResult result = parseExternTrace(
-            whole.substr(0, len), ExternTraceFormat::Auto);
+        ExternParseResult result =
+            parseExternTrace(whole.substr(0, len));
         EXPECT_FALSE(result.ok())
             << "truncation to " << len << " of " << whole.size()
             << " bytes was not reported";
@@ -291,11 +285,9 @@ TEST(ExternParse, Bin2EveryByteFlipIsDetectedOrHarmless)
     for (std::size_t pos = 0; pos < whole.size(); ++pos) {
         std::string flipped = whole;
         flipped[pos] ^= 0x01;
-        // Force the bin2 parser even when the flip breaks the magic:
-        // Auto would fall back to the text parser (covered by the
-        // confusion test below), hiding the binary validation path.
-        ExternParseResult result =
-            parseExternTrace(flipped, ExternTraceFormat::Bin2);
+        // A flip in the magic sends the bytes to the text parser,
+        // which must reject them or yield the same records.
+        ExternParseResult result = parseExternTrace(flipped);
         if (pos >= 16) {
             // Chunk payloads, the footer, and the index are CRC- or
             // cross-validated; flips there must be detected.
@@ -310,28 +302,16 @@ TEST(ExternParse, Bin2EveryByteFlipIsDetectedOrHarmless)
 
 TEST(ExternParse, MixedFormatConfusionIsRejected)
 {
-    // Text bytes forced through the bin2 parser.
-    std::string text = makeDramsim3Text(10, 0xC1);
-    EXPECT_FALSE(
-        parseExternTrace(text, ExternTraceFormat::Bin2).ok());
-
-    // bin2 bytes forced through the text parser.
-    std::string bin2 = serializeBin2(randomCtrlRecords(10, 0xC2), 4);
-    EXPECT_FALSE(
-        parseExternTrace(bin2, ExternTraceFormat::Dramsim3).ok());
-
     // A controller CSV trace is neither format.
     std::string csv =
         "type,tick,channel,wordline,bitline,lrs_count,latency_ns,"
         "queue_depth\nW,1,0,0,0,0,1.0,0\n";
-    EXPECT_FALSE(
-        parseExternTrace(csv, ExternTraceFormat::Auto).ok());
+    EXPECT_FALSE(parseExternTrace(csv).ok());
 
     // Nor is the retired core-level LDTRACE1 recording format.
     std::string ldtrace = "LDTRACE1";
     ldtrace.append(16, '\0');
-    EXPECT_FALSE(
-        parseExternTrace(ldtrace, ExternTraceFormat::Auto).ok());
+    EXPECT_FALSE(parseExternTrace(ldtrace).ok());
 }
 
 TEST(ExternParse, RandomGarbageNeverCrashes)
@@ -342,13 +322,8 @@ TEST(ExternParse, RandomGarbageNeverCrashes)
         std::string bytes(len, '\0');
         for (auto &b : bytes)
             b = static_cast<char>(rng.nextBounded(256));
-        for (ExternTraceFormat format :
-             {ExternTraceFormat::Auto, ExternTraceFormat::Dramsim3,
-              ExternTraceFormat::Bin2}) {
-            ExternParseResult result =
-                parseExternTrace(bytes, format);
-            EXPECT_EQ(result.ok(), result.error.empty());
-        }
+        ExternParseResult result = parseExternTrace(bytes);
+        EXPECT_EQ(result.ok(), result.error.empty());
     }
     SUCCEED();
 }
@@ -362,8 +337,7 @@ parsedFixture()
 {
     static std::shared_ptr<const ExternParseResult> fixture = [] {
         auto result = std::make_shared<ExternParseResult>(
-            parseExternTrace(slurp(miniTrace),
-                             ExternTraceFormat::Auto));
+            parseExternTrace(slurp(miniTrace)));
         return result;
     }();
     return fixture;
@@ -445,8 +419,7 @@ TEST(ExternSource, LrsContentSynthesisTracksRecordedCounts)
         records.push_back(r);
     }
     auto parsed = std::make_shared<ExternParseResult>(
-        parseExternTrace(serializeBin2(records, 4),
-                         ExternTraceFormat::Bin2));
+        parseExternTrace(serializeBin2(records, 4)));
     ASSERT_TRUE(parsed->ok()) << parsed->error;
     ExternTraceOptions opts;
     opts.footprintPages = 16;
@@ -499,22 +472,18 @@ TEST(Frontend, RegisteredNamesIncludeFamilies)
 
 TEST(Frontend, LoadExternTraceReportsMissingAndBadFiles)
 {
-    auto missing = loadExternTrace("/nonexistent/path.trace",
-                                   ExternTraceFormat::Auto);
+    auto missing = loadExternTrace("/nonexistent/path.trace");
     ASSERT_FALSE(missing->ok());
     EXPECT_NE(missing->error.find("cannot read"), std::string::npos);
 
     fs::path bad = tempFile("bad.trace", "0x40 READ oops\n");
-    auto parsed =
-        loadExternTrace(bad.string(), ExternTraceFormat::Auto);
+    auto parsed = loadExternTrace(bad.string());
     ASSERT_FALSE(parsed->ok());
     EXPECT_NE(parsed->error.find("bad cycle"), std::string::npos);
 
-    // The loader memoizes: same (path, format) returns the cached
-    // parse (pointer identity).
-    EXPECT_EQ(parsed.get(),
-              loadExternTrace(bad.string(), ExternTraceFormat::Auto)
-                  .get());
+    // The loader memoizes: the same path returns the cached parse
+    // (pointer identity).
+    EXPECT_EQ(parsed.get(), loadExternTrace(bad.string()).get());
 }
 
 // ---------------------------------------------------------------
@@ -580,8 +549,7 @@ TEST(FrontendEndToEnd, MiniFixtureRunsWithProvenanceAndByteIdentity)
 TEST(FrontendEndToEnd, CommittedBin2FixtureReplays)
 {
     const fs::path bin2 = fs::path(LADDER_DATA_DIR) / "mini_ctrl.bin2";
-    auto parsed = loadExternTrace(bin2.string(),
-                                  ExternTraceFormat::Auto);
+    auto parsed = loadExternTrace(bin2.string());
     ASSERT_TRUE(parsed->ok()) << parsed->error;
     EXPECT_EQ(parsed->format, ExternTraceFormat::Bin2);
     ASSERT_GT(parsed->records.size(), 1000u);

@@ -4,11 +4,8 @@
 
 #include <set>
 
-#include "common/rng.hh"
 #include "sim/experiment.hh"
-#include "wear/horizontal.hh"
 #include "wear/lifetime.hh"
-#include "wear/segment_swap.hh"
 #include "wear/start_gap.hh"
 
 namespace ladder
@@ -94,106 +91,6 @@ TEST(StartGap, RotationMovesHotLineAcrossSlots)
     }
     // Logical line 0 visits every physical slot.
     EXPECT_EQ(physSeen.size(), lines + 1);
-}
-
-TEST(SegmentSwap, RemapIsInjective)
-{
-    SegmentSwapRemapper remap(0, 8, 4096 * 4, 100);
-    std::set<Addr> seen;
-    for (std::uint64_t l = 0; l < 8 * 4 * 64; ++l) {
-        Addr phys = remap.remap(l * lineBytes);
-        EXPECT_TRUE(seen.insert(phys).second);
-    }
-}
-
-TEST(SegmentSwap, SwapEmitsCopiesForBothSegments)
-{
-    const std::uint64_t segBytes = 4096 * 2; // 2 pages
-    SegmentSwapRemapper remap(0, 4, segBytes, 50);
-    // Hammer segment 0 to make it hot.
-    for (int i = 0; i < 50; ++i)
-        remap.noteDataWrite(0);
-    auto moves = remap.collectMoves();
-    if (remap.swaps() > 0) {
-        EXPECT_EQ(moves.size(), 2 * segBytes / lineBytes);
-        // Every move is within the region.
-        for (const auto &m : moves) {
-            EXPECT_LT(m.from, 4 * segBytes);
-            EXPECT_LT(m.to, 4 * segBytes);
-        }
-    }
-}
-
-TEST(SegmentSwap, MappingChangesAfterSwap)
-{
-    const std::uint64_t segBytes = 4096;
-    SegmentSwapRemapper remap(0, 4, segBytes, 20);
-    Addr before = remap.remap(0);
-    for (int round = 0; round < 50 && remap.swaps() == 0; ++round) {
-        for (int i = 0; i < 20; ++i)
-            remap.noteDataWrite(before);
-        remap.collectMoves();
-        before = remap.remap(0);
-    }
-    EXPECT_GT(remap.swaps(), 0u);
-    EXPECT_NE(remap.remap(0), 0u * lineBytes + 0);
-}
-
-TEST(Hwl, EncodeDecodeRoundTripAcrossRotations)
-{
-    auto layout = std::make_shared<MetadataLayout>(
-        MemoryGeometry{}, 1000);
-    auto inner = makeScheme(SchemeKind::LadderEst,
-                            cachedTimingModel(CrossbarParams{}),
-                            layout, {});
-    HorizontalWearScheme hwl(inner, 2);
-    Rng rng(1);
-    Addr addr = 64;
-    for (int i = 0; i < 20; ++i) {
-        hwl.noteWrite(addr); // advance rotation over time
-        LineData data;
-        for (auto &b : data)
-            b = static_cast<std::uint8_t>(rng.nextBounded(256));
-        LineData encoded = hwl.encodeData(addr, data);
-        EXPECT_EQ(hwl.decodeData(addr, encoded), data);
-    }
-}
-
-TEST(Hwl, RotationAdvancesEveryPeriod)
-{
-    auto layout = std::make_shared<MetadataLayout>(
-        MemoryGeometry{}, 1000);
-    auto inner = makeScheme(SchemeKind::Baseline,
-                            cachedTimingModel(CrossbarParams{}),
-                            layout, {});
-    HorizontalWearScheme hwl(inner, 3);
-    Addr addr = 128;
-    EXPECT_EQ(hwl.rotationOf(addr), 0u);
-    hwl.noteWrite(addr);
-    hwl.noteWrite(addr);
-    EXPECT_EQ(hwl.rotationOf(addr), 0u);
-    hwl.noteWrite(addr);
-    EXPECT_EQ(hwl.rotationOf(addr), 1u);
-    // Other lines are unaffected.
-    EXPECT_EQ(hwl.rotationOf(addr + lineBytes), 0u);
-}
-
-TEST(Hwl, RotationMovesBytesToDifferentMats)
-{
-    auto layout = std::make_shared<MetadataLayout>(
-        MemoryGeometry{}, 1000);
-    auto inner = makeScheme(SchemeKind::Baseline,
-                            cachedTimingModel(CrossbarParams{}),
-                            layout, {});
-    HorizontalWearScheme hwl(inner, 1);
-    LineData data = filledLine(0);
-    data[0] = 0xff;
-    LineData e0 = hwl.encodeData(0, data);
-    hwl.noteWrite(0);
-    LineData e1 = hwl.encodeData(0, data);
-    EXPECT_EQ(e0[0], 0xff);
-    EXPECT_EQ(e1[1], 0xff);
-    EXPECT_EQ(e1[0], 0x00);
 }
 
 TEST(Lifetime, LeveledBeatsUnleveledForSkewedWrites)
