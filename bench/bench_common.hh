@@ -1,12 +1,15 @@
 /**
  * @file
- * Shared machinery for the figure-reproduction benches: resolve the
- * layered configuration through the typed parameter registry, run a
- * (scheme x workload) matrix in parallel via runMatrixParallel, and
- * normalize against the baseline, the way the paper's evaluation
- * plots do.
+ * Shared machinery for the figure-reproduction benches: check a
+ * bench's scheme/workload selections, derive the export-free config
+ * of an ablation variant, and normalize a (scheme x workload) Matrix
+ * against the baseline, the way the paper's evaluation plots do.
  *
- * Every bench resolves its arguments through sim/config_resolve with
+ * Every bench `main` enters through parseBenchArgs and leaves through
+ * fatalExitCode (sim/config_resolve), and runs its cells through
+ * runOne — runMatrixParallel for the headline matrix, runVariants for
+ * a one-cell ablation (sim/experiment). Ablation runs take
+ * variantConfig, so they export nothing. Arguments resolve with
  * strict precedence
  *
  *     compiled defaults < config=<file>.json < sweep=<file> "params"
@@ -33,12 +36,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
 #include <limits>
-#include <stdexcept>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "common/log.hh"
@@ -49,79 +48,20 @@
 namespace ladder
 {
 
-/** One bench invocation's resolved selections. */
-struct BenchArgs
-{
-    std::vector<std::string> workloads;
-    std::vector<SchemeKind> schemes;
-    /** Whether the user picked them (vs. the bench's defaults). */
-    bool workloadsExplicit = false;
-    bool schemesExplicit = false;
-};
-
 /**
- * Exit code for the exception a bench `main` is handling, called from
- * its function-try-block's `catch (...)`: 2 for a fatal() anywhere
- * (resolving the arguments, calibrating the circuit, running a cell),
- * which has already printed its diagnostic. An OS error
- * (std::system_error) or any other exception is rethrown, so it keeps
- * the uncaught-exception report.
+ * @p cfg for an ablation run: it writes no stats, trace, profile or
+ * heartbeat file, so every exported file describes the headline run
+ * it is named after.
  */
-inline int
-fatalExitCode()
+inline ExperimentConfig
+variantConfig(const ExperimentConfig &cfg)
 {
-    try {
-        throw;
-    } catch (const std::system_error &) {
-        throw;
-    } catch (const std::runtime_error &) {
-        return 2;
-    }
-}
-
-/**
- * Resolve the common bench arguments into @p cfg through the layered
- * registry resolver. Handles --help-config/--dump-config (print and
- * exit). Empty @p defaultWorkloads means all workloads; empty
- * @p defaultSchemes means the paper's seven evaluated schemes.
- */
-inline BenchArgs
-parseBenchArgs(int argc, char **argv, ExperimentConfig &cfg,
-               std::vector<std::string> defaultWorkloads = {},
-               std::vector<SchemeKind> defaultSchemes = {})
-{
-    ResolvedExperiment resolved =
-        resolveExperiment(argc, argv, cfg);
-    if (resolved.helpRequested) {
-        if (resolved.helpFormat == "md") {
-            experimentRegistry().helpMarkdown(std::cout,
-                                             resolved.config);
-            std::exit(0);
-        }
-        std::cout << "parameters (key=value; also loadable from "
-                     "config= JSON):\n";
-        experimentRegistry().help(std::cout, resolved.config);
-        std::exit(0);
-    }
-    if (resolved.dumpRequested) {
-        dumpEffectiveConfig(resolved.config, std::cout);
-        std::exit(0);
-    }
-    cfg = resolved.config;
-    BenchArgs args;
-    args.workloadsExplicit = resolved.workloadsExplicit;
-    args.schemesExplicit = resolved.schemesExplicit;
-    args.workloads = resolved.workloadsExplicit
-                         ? resolved.workloads
-                         : (defaultWorkloads.empty()
-                                ? allWorkloadNames()
-                                : std::move(defaultWorkloads));
-    args.schemes = resolved.schemesExplicit
-                       ? resolved.schemes
-                       : (defaultSchemes.empty()
-                              ? allSchemeKinds()
-                              : std::move(defaultSchemes));
-    return args;
+    ExperimentConfig variant = cfg;
+    variant.statsJsonDir.clear();
+    variant.traceOutDir.clear();
+    variant.profileOut.clear();
+    variant.telemetryIntervalMs = 0;
+    return variant;
 }
 
 /**
@@ -129,7 +69,7 @@ parseBenchArgs(int argc, char **argv, ExperimentConfig &cfg,
  * sweep: fatal() when an explicit scheme= selection dropped it.
  */
 inline void
-requireScheme(const BenchArgs &args, SchemeKind kind, const char *why)
+requireScheme(const ResolvedExperiment &args, SchemeKind kind, const char *why)
 {
     for (SchemeKind s : args.schemes) {
         if (s == kind)
@@ -141,7 +81,7 @@ requireScheme(const BenchArgs &args, SchemeKind kind, const char *why)
 
 /** Benches with a fixed scheme set reject scheme= overrides. */
 inline void
-rejectSchemeOverride(const BenchArgs &args, const char *why)
+rejectSchemeOverride(const ResolvedExperiment &args, const char *why)
 {
     if (args.schemesExplicit)
         fatal("this bench runs a fixed scheme set (%s); drop scheme=",
@@ -150,7 +90,7 @@ rejectSchemeOverride(const BenchArgs &args, const char *why)
 
 /** Benches without a (scheme x workload) sweep reject selections. */
 inline void
-rejectSweepSelection(const BenchArgs &args, const char *why)
+rejectSweepSelection(const ResolvedExperiment &args, const char *why)
 {
     if (args.schemesExplicit || args.workloadsExplicit)
         fatal("this bench has no scheme/workload sweep (%s); drop "
@@ -159,8 +99,32 @@ rejectSweepSelection(const BenchArgs &args, const char *why)
 }
 
 /**
- * Print a normalized table: one row per workload plus an AVG row,
- * one column per scheme, where each value is
+ * Print one table: a row per workload, rowOf(workload) holding one
+ * value per scheme column, then an AVG row.
+ */
+template <typename RowFn>
+inline void
+printMatrixTable(const Matrix &matrix, RowFn rowOf, int precision)
+{
+    std::vector<std::string> columns;
+    for (SchemeKind kind : matrix.schemes)
+        columns.push_back(schemeKindName(kind));
+    TablePrinter printer(columns);
+    printer.printHeader();
+    std::vector<double> sums(matrix.schemes.size(), 0.0);
+    for (const auto &workload : matrix.workloads) {
+        const std::vector<double> row = rowOf(workload);
+        for (std::size_t s = 0; s < row.size(); ++s)
+            sums[s] += row[s];
+        printer.printRow(workload, row, precision);
+    }
+    for (auto &sum : sums)
+        sum /= static_cast<double>(matrix.workloads.size());
+    printer.printRow("AVG", sums, precision);
+}
+
+/**
+ * Print a normalized table, where each value is
  * metric(scheme) / metric(baseline) for that workload. A zero
  * baseline metric or a degenerate baseline run (no data reads or no
  * data writes in the measured window) yields nan, with a stderr
@@ -172,40 +136,29 @@ inline void
 printNormalizedTable(const Matrix &matrix, SchemeKind baseline,
                      MetricFn metric, int precision = 3)
 {
-    std::vector<std::string> columns;
-    for (SchemeKind kind : matrix.schemes)
-        columns.push_back(schemeKindName(kind));
-    TablePrinter printer(columns);
-    printer.printHeader();
-    std::vector<double> sums(matrix.schemes.size(), 0.0);
-    for (const auto &workload : matrix.workloads) {
-        const SimResult &baseRun = matrix.at(baseline, workload);
-        double base = metric(baseRun);
-        const char *unusable =
-            baseRun.degenerate ? "baseline run is degenerate"
-            : base == 0.0      ? "baseline metric is zero"
-                               : nullptr;
-        if (unusable) {
-            std::fprintf(stderr,
-                         "warn: %s for workload '%s'; normalized "
-                         "values are nan\n",
-                         unusable, workload.c_str());
-        }
-        std::vector<double> row;
-        for (std::size_t s = 0; s < matrix.schemes.size(); ++s) {
-            double value =
-                metric(matrix.at(matrix.schemes[s], workload));
-            double normalized =
-                unusable ? std::numeric_limits<double>::quiet_NaN()
-                         : value / base;
-            row.push_back(normalized);
-            sums[s] += normalized;
-        }
-        printer.printRow(workload, row, precision);
-    }
-    for (auto &sum : sums)
-        sum /= static_cast<double>(matrix.workloads.size());
-    printer.printRow("AVG", sums, precision);
+    printMatrixTable(
+        matrix,
+        [&](const std::string &workload) {
+            const SimResult &baseRun = matrix.at(baseline, workload);
+            const double base = metric(baseRun);
+            const char *unusable =
+                baseRun.degenerate ? "baseline run is degenerate"
+                : base == 0.0      ? "baseline metric is zero"
+                                   : nullptr;
+            if (unusable) {
+                std::fprintf(stderr,
+                             "warn: %s for workload '%s'; normalized "
+                             "values are nan\n",
+                             unusable, workload.c_str());
+            }
+            std::vector<double> row;
+            for (SchemeKind kind : matrix.schemes)
+                row.push_back(
+                    unusable ? std::numeric_limits<double>::quiet_NaN()
+                             : metric(matrix.at(kind, workload)) / base);
+            return row;
+        },
+        precision);
 }
 
 /** Print one non-normalized metric table. */
@@ -214,32 +167,15 @@ inline void
 printRawTable(const Matrix &matrix, MetricFn metric,
               int precision = 1)
 {
-    std::vector<std::string> columns;
-    for (SchemeKind kind : matrix.schemes)
-        columns.push_back(schemeKindName(kind));
-    TablePrinter printer(columns);
-    printer.printHeader();
-    std::vector<double> sums(matrix.schemes.size(), 0.0);
-    for (const auto &workload : matrix.workloads) {
-        std::vector<double> row;
-        for (std::size_t s = 0; s < matrix.schemes.size(); ++s) {
-            double value =
-                metric(matrix.at(matrix.schemes[s], workload));
-            row.push_back(value);
-            sums[s] += value;
-        }
-        printer.printRow(workload, row, precision);
-    }
-    for (auto &sum : sums)
-        sum /= static_cast<double>(matrix.workloads.size());
-    printer.printRow("AVG", sums, precision);
-}
-
-/** The paper's seven evaluated schemes in presentation order. */
-inline std::vector<SchemeKind>
-paperSchemes()
-{
-    return allSchemeKinds();
+    printMatrixTable(
+        matrix,
+        [&](const std::string &workload) {
+            std::vector<double> row;
+            for (SchemeKind kind : matrix.schemes)
+                row.push_back(metric(matrix.at(kind, workload)));
+            return row;
+        },
+        precision);
 }
 
 } // namespace ladder

@@ -80,7 +80,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args = parseBenchArgs(
+    ResolvedExperiment args = parseBenchArgs(
         argc, argv, cfg,
         {"astar", "lbm", "mcf", "cactusADM", "dnn-update", "kv-log",
          "adv-lrs"},

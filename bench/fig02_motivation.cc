@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args = parseBenchArgs(
+    ResolvedExperiment args = parseBenchArgs(
         argc, argv, cfg, singleWorkloadNames(),
         {SchemeKind::Baseline, SchemeKind::Location,
          SchemeKind::Oracle});

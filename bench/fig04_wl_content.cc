@@ -21,7 +21,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args = parseBenchArgs(argc, argv, cfg);
+    ResolvedExperiment args = parseBenchArgs(argc, argv, cfg);
     rejectSweepSelection(
         args, "the latency sweep uses one crossbar model");
 

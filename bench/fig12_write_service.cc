@@ -17,8 +17,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args =
-        parseBenchArgs(argc, argv, cfg, {}, paperSchemes());
+    ResolvedExperiment args = parseBenchArgs(argc, argv, cfg);
     requireScheme(args, SchemeKind::Baseline,
                   "write service time is normalized to the baseline");
 

@@ -9,10 +9,7 @@
  * Includes the Hybrid low-row-threshold ablation.
  */
 
-#include <future>
-
 #include "bench_common.hh"
-#include "common/thread_pool.hh"
 
 using namespace ladder;
 
@@ -20,7 +17,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args = parseBenchArgs(
+    ResolvedExperiment args = parseBenchArgs(
         argc, argv, cfg, {},
         {SchemeKind::LadderBasic, SchemeKind::LadderEst,
          SchemeKind::LadderHybrid});
@@ -52,31 +49,22 @@ try {
     std::printf("%10s %16s %16s\n", "low rows", "extra reads %",
                 "extra writes %");
     const std::vector<unsigned> lowRowsSweep = {0u, 64u, 128u, 256u};
-    auto ablate = [&cfg](unsigned lowRows) {
-        ExperimentConfig sweep = cfg;
-        sweep.schemeOptions.hybridLowRows = lowRows;
-        return runOne(SchemeKind::LadderHybrid, "astar", sweep);
-    };
-    auto show = [](unsigned lowRows, const SimResult &r) {
-        std::printf("%10u %16.1f %16.1f\n", lowRows,
+    std::vector<ExperimentConfig> variants;
+    for (unsigned lowRows : lowRowsSweep) {
+        variants.push_back(variantConfig(cfg));
+        variants.back().schemeOptions.hybridLowRows = lowRows;
+    }
+    std::vector<SimResult> ablation =
+        runVariants(SchemeKind::LadderHybrid, "astar", variants);
+    for (std::size_t i = 0; i < lowRowsSweep.size(); ++i) {
+        const SimResult &r = ablation[i];
+        std::printf("%10u %16.1f %16.1f\n", lowRowsSweep[i],
                     100.0 *
                         static_cast<double>(r.metadataReads +
                                             r.smbReads) /
                         static_cast<double>(r.dataReads),
                     100.0 * static_cast<double>(r.metadataWrites) /
                         static_cast<double>(r.dataWrites));
-    };
-    if (cfg.jobs == 1) {
-        for (unsigned lowRows : lowRowsSweep)
-            show(lowRows, ablate(lowRows));
-    } else {
-        ThreadPool pool(cfg.jobs);
-        std::vector<std::future<SimResult>> futures;
-        for (unsigned lowRows : lowRowsSweep)
-            futures.push_back(pool.submit(
-                [&ablate, lowRows]() { return ablate(lowRows); }));
-        for (std::size_t i = 0; i < lowRowsSweep.size(); ++i)
-            show(lowRowsSweep[i], futures[i].get());
     }
     return 0;
 } catch (...) {

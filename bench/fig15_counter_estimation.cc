@@ -21,7 +21,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args = parseBenchArgs(argc, argv, cfg);
+    ResolvedExperiment args = parseBenchArgs(argc, argv, cfg);
     rejectSchemeOverride(
         args, "the diff needs exactly Basic/Est-noshift/Est");
     const std::vector<std::string> &workloads = args.workloads;

@@ -12,10 +12,7 @@
  * baseline.
  */
 
-#include <future>
-
 #include "bench_common.hh"
-#include "common/thread_pool.hh"
 
 using namespace ladder;
 
@@ -23,8 +20,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args =
-        parseBenchArgs(argc, argv, cfg, {}, paperSchemes());
+    ResolvedExperiment args = parseBenchArgs(argc, argv, cfg);
     requireScheme(args, SchemeKind::Baseline,
                   "speedup is computed over the baseline");
 
@@ -107,33 +103,20 @@ try {
                 "+5%% over Basic, Hybrid +2.8%% over Est, ~98%% of "
                 "Oracle, ~1.46 overall\n");
 
-    // Ablation: metadata cache size (paper: <2% beyond 64KB). The
-    // five sizes are independent runs; fan them out on the pool and
-    // print in canonical (ascending-size) order.
+    // Ablation: metadata cache size (paper: <2% beyond 64KB).
     std::printf("\n--- ablation: LRS-metadata cache size "
                 "(LADDER-Hybrid, astar) ---\n");
     std::printf("%10s %12s\n", "size KB", "IPC");
     const std::vector<std::size_t> sizesKb = {16, 32, 64, 128, 256};
-    auto ablate = [&cfg](std::size_t kb) {
-        SystemConfig sysCfg = makeSystemConfig(
-            SchemeKind::LadderHybrid, "astar", cfg);
-        sysCfg.controller.metadataCacheBytes = kb * 1024;
-        System system(sysCfg);
-        return system.run(cfg.warmupInstr, cfg.measureInstr);
-    };
-    if (cfg.jobs == 1) {
-        for (std::size_t kb : sizesKb)
-            std::printf("%10zu %12.4f\n", kb, ablate(kb).ipc);
-    } else {
-        ThreadPool pool(cfg.jobs);
-        std::vector<std::future<SimResult>> futures;
-        for (std::size_t kb : sizesKb)
-            futures.push_back(
-                pool.submit([&ablate, kb]() { return ablate(kb); }));
-        for (std::size_t i = 0; i < sizesKb.size(); ++i)
-            std::printf("%10zu %12.4f\n", sizesKb[i],
-                        futures[i].get().ipc);
+    std::vector<ExperimentConfig> variants;
+    for (std::size_t kb : sizesKb) {
+        variants.push_back(variantConfig(cfg));
+        variants.back().system.controller.metadataCacheBytes = kb * 1024;
     }
+    std::vector<SimResult> ablation =
+        runVariants(SchemeKind::LadderHybrid, "astar", variants);
+    for (std::size_t i = 0; i < sizesKb.size(); ++i)
+        std::printf("%10zu %12.4f\n", sizesKb[i], ablation[i].ipc);
     return 0;
 } catch (...) {
     return fatalExitCode();

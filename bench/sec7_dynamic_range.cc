@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args =
+    ResolvedExperiment args =
         parseBenchArgs(argc, argv, cfg, singleWorkloadNames());
     rejectSchemeOverride(
         args, "the ablation compares baseline vs LADDER-Hybrid");
@@ -28,7 +28,7 @@ try {
                 "gain shrunk", "retained %");
     const std::vector<SchemeKind> pair = {SchemeKind::Baseline,
                                           SchemeKind::LadderHybrid};
-    ExperimentConfig shrunk = cfg;
+    ExperimentConfig shrunk = variantConfig(cfg);
     shrunk.rangeShrink = 2.0;
     Matrix nominal = runMatrixParallel(pair, workloads, cfg);
     Matrix shrunkM = runMatrixParallel(pair, workloads, shrunk);
@@ -58,9 +58,11 @@ try {
                 "(LADDER-Hybrid, singles AVG speedup) ===\n\n");
     std::printf("%12s %12s\n", "granularity", "avg speedup");
     for (unsigned granularity : {4u, 8u, 16u}) {
-        ExperimentConfig sweep = cfg;
+        ExperimentConfig sweep = variantConfig(cfg);
         sweep.granularity = granularity;
-        Matrix m = runMatrixParallel(pair, workloads, sweep);
+        const Matrix m = granularity == cfg.granularity
+                             ? nominal
+                             : runMatrixParallel(pair, workloads, sweep);
         double sum = 0.0;
         for (const auto &workload : workloads) {
             sum += speedupOver(m.at(SchemeKind::LadderHybrid,

@@ -20,7 +20,7 @@ int
 main(int argc, char **argv)
 try {
     ExperimentConfig cfg = defaultExperimentConfig();
-    BenchArgs args = parseBenchArgs(argc, argv, cfg);
+    ResolvedExperiment args = parseBenchArgs(argc, argv, cfg);
     rejectSweepSelection(
         args, "the overhead tables are workload-independent");
 

@@ -13,13 +13,13 @@
 
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "circuit/fastmodel.hh"
 #include "common/param_registry.hh"
 #include "reram/timing_tables.hh"
+#include "sim/config_resolve.hh"
 
 using namespace ladder;
 
@@ -82,16 +82,12 @@ evaluatePoint(const TimingModel &model, const SneakPathModel &fast,
 
 int
 main(int argc, char **argv)
-{
+try {
     CrossbarParams params;
     const ParamRegistry<ExplorerOptions> reg = explorerRegistry(params);
     ExplorerOptions opts;
-    std::vector<std::string> positional;
-    try {
-        positional = reg.applyArgs(opts, argc, argv);
-    } catch (const std::runtime_error &) {
-        return 2; // fatal() has printed the diagnostic
-    }
+    const std::vector<std::string> positional =
+        reg.applyArgs(opts, argc, argv);
     if (positional.size() == 1 && positional[0] == "--help-config") {
         reg.help(std::cout, ExplorerOptions{});
         return 0;
@@ -139,4 +135,6 @@ main(int argc, char **argv)
                 "%zu B\n",
                 model.ladder.storageBytes());
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

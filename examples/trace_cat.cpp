@@ -25,12 +25,12 @@
 #include <cstdio>
 #include <iostream>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/param_registry.hh"
 #include "ctrl/trace_reader.hh"
+#include "sim/config_resolve.hh"
 
 using namespace ladder;
 
@@ -83,15 +83,11 @@ traceCatRegistry()
 
 int
 main(int argc, char **argv)
-{
+try {
     const ParamRegistry<TraceCatOptions> reg = traceCatRegistry();
     TraceCatOptions opts;
-    std::vector<std::string> positional;
-    try {
-        positional = reg.applyArgs(opts, argc, argv);
-    } catch (const std::runtime_error &) {
-        return 2; // fatal() has printed the diagnostic
-    }
+    const std::vector<std::string> positional =
+        reg.applyArgs(opts, argc, argv);
     if (positional.size() == 1 && positional[0] == "--help-config") {
         reg.help(std::cout, TraceCatOptions{});
         return 0;
@@ -218,4 +214,6 @@ main(int argc, char **argv)
         return 1;
     }
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

@@ -15,8 +15,6 @@
  */
 
 #include <cstdio>
-#include <iostream>
-#include <stdexcept>
 
 #include "sim/config_resolve.hh"
 #include "sim/experiment.hh"
@@ -27,30 +25,13 @@ using namespace ladder;
 
 int
 main(int argc, char **argv)
-{
-    ResolvedExperiment resolved;
-    try {
-        resolved =
-            resolveExperiment(argc, argv, defaultExperimentConfig());
-    } catch (const std::runtime_error &) {
-        return 2; // fatal() has printed the diagnostic
-    }
-    if (resolved.helpRequested) {
-        std::cout << "parameters (key=value; also loadable from "
-                     "config= JSON):\n";
-        experimentRegistry().help(std::cout, resolved.config);
-        return 0;
-    }
-    if (resolved.dumpRequested) {
-        dumpEffectiveConfig(resolved.config, std::cout);
-        return 0;
-    }
-    if (resolved.workloads.size() > 1)
+try {
+    ExperimentConfig cfg = defaultExperimentConfig();
+    ResolvedExperiment args = parseBenchArgs(argc, argv, cfg, {"lbm"});
+    if (args.workloads.size() > 1)
         fatal("this demo runs one workload at a time");
-    std::string workload = resolved.workloadsExplicit
-                               ? resolved.workloads.front()
-                               : "lbm";
-    unsigned psi = resolved.config.wear.startGapPsi;
+    const std::string &workload = args.workloads.front();
+    unsigned psi = cfg.wear.startGapPsi;
 
     // A small standalone illustration first: watch one logical line
     // migrate as the gap rotates.
@@ -70,26 +51,14 @@ main(int argc, char **argv)
     }
 
     // Now the full system with leveling on the data region.
-    const ExperimentConfig &cfg = resolved.config;
-    SystemConfig sys =
-        makeSystemConfig(SchemeKind::LadderHybrid, workload, cfg);
-    System system(sys);
-    AddressMap map(sys.geometry);
-    StartGapRemapper remap(0, map.totalPages() * 64 * 3 / 4, psi);
-    system.setRemapper(&remap);
-
     std::printf("\nrunning %s under LADDER-Hybrid + Start-Gap "
                 "(psi=%u)...\n",
                 workload.c_str(), psi);
-    SimResult r = system.run(cfg.warmupInstr, cfg.measureInstr);
-
-    std::unordered_map<std::uint64_t, std::uint32_t> writes;
-    for (unsigned ch = 0; ch < system.channels(); ++ch)
-        for (const auto &entry :
-             system.controller(ch).pageWriteCounts())
-            writes[entry.first] += entry.second;
+    WearRun run = runStartGap(SchemeKind::LadderHybrid, workload, cfg,
+                              /*leveled=*/true);
+    const SimResult &r = run.result;
     LifetimeEstimate est =
-        estimateLifetime(writes, r.elapsedNs * 1e-9, 0,
+        estimateLifetime(run.pageWrites, r.elapsedNs * 1e-9, 0,
                          cfg.wear.cellEndurance,
                          cfg.wear.levelingEfficiency);
 
@@ -100,8 +69,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.metadataWrites));
     std::printf("gap moves injected     %10llu (~%.2f%% extra "
                 "writes)\n",
-                static_cast<unsigned long long>(remap.gapMoves()),
-                100.0 * static_cast<double>(remap.gapMoves()) /
+                static_cast<unsigned long long>(run.gapMoves),
+                100.0 * static_cast<double>(run.gapMoves) /
                     static_cast<double>(r.dataWrites));
     std::printf("write unevenness       %10.1f (max/mean page "
                 "writes)\n",
@@ -113,4 +82,6 @@ main(int argc, char **argv)
                 "performance and keeps 97.1%% of baseline "
                 "lifetime.\n");
     return 0;
+} catch (...) {
+    return fatalExitCode();
 }

@@ -6,9 +6,9 @@
  * statistics tree. The paper's Figures 12/13/16 are sweeps of exactly
  * this run.
  *
- * Comma-separated lists sweep the full (scheme x workload) matrix in
- * parallel through runMatrixParallel and print an IPC table instead
- * of the single-run details.
+ * Every invocation runs through runMatrixParallel: one cell prints
+ * its headline metrics, comma-separated lists sweep the full (scheme
+ * x workload) matrix in parallel and print an IPC table instead.
  *
  *   ./workload_sim [config=<file>.json] [sweep=<file>.json]
  *                  [scheme=LADDER-Hybrid[,baseline,...]]
@@ -20,68 +20,41 @@
  * CLI key=value. --help-config lists every parameter (warmup,
  * measure, jobs, stats-json, trace-out, epoch-cycles, and the full
  * xbar. / ctrl. / cache. / core. / geom. architecture groups);
- * stats=true dumps the full statistics tree after single runs. See
+ * stats=true prints each run's full statistics tree after it. See
  * EXPERIMENTS.md for the configuration spine and output schema.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
-#include <memory>
-#include <stdexcept>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "sim/config_resolve.hh"
 #include "sim/experiment.hh"
-#include "sim/profile_export.hh"
-#include "sim/stats_export.hh"
-#include "sim/telemetry.hh"
 
 using namespace ladder;
 
-// A fatal() anywhere — resolving the arguments, calibrating the
-// circuit, running a cell — exits 2 rather than aborting.
 int
 main(int argc, char **argv)
 try {
-    ResolvedExperiment resolved =
-        resolveExperiment(argc, argv, defaultExperimentConfig());
-    if (resolved.helpRequested) {
-        if (resolved.helpFormat == "md") {
-            experimentRegistry().helpMarkdown(std::cout,
-                                             resolved.config);
-            return 0;
-        }
-        std::cout << "parameters (key=value; also loadable from "
-                     "config= JSON):\n";
-        experimentRegistry().help(std::cout, resolved.config);
-        return 0;
-    }
-    if (resolved.dumpRequested) {
-        dumpEffectiveConfig(resolved.config, std::cout);
-        return 0;
-    }
-    const ExperimentConfig &cfg = resolved.config;
-    std::vector<SchemeKind> schemes =
-        resolved.schemesExplicit
-            ? resolved.schemes
-            : std::vector<SchemeKind>{SchemeKind::LadderHybrid};
-    std::vector<std::string> workloads =
-        resolved.workloadsExplicit
-            ? resolved.workloads
-            : std::vector<std::string>{"mix-1"};
+    ExperimentConfig cfg = defaultExperimentConfig();
+    ResolvedExperiment args = parseBenchArgs(
+        argc, argv, cfg, {"mix-1"}, {SchemeKind::LadderHybrid});
+    const std::vector<SchemeKind> &schemes = args.schemes;
+    const std::vector<std::string> &workloads = args.workloads;
+    const bool single = schemes.size() == 1 && workloads.size() == 1;
+    if (single)
+        std::printf("running %s on %s", schemeKindName(schemes[0]).c_str(),
+                    workloads[0].c_str());
+    else
+        std::printf("sweeping %zu scheme(s) x %zu workload(s)",
+                    schemes.size(), workloads.size());
+    std::printf(" (%llu warmup + %llu measured instructions per "
+                "core)...\n",
+                static_cast<unsigned long long>(cfg.warmupInstr),
+                static_cast<unsigned long long>(cfg.measureInstr));
+    Matrix matrix = runMatrixParallel(schemes, workloads, cfg);
 
-    if (schemes.size() > 1 || workloads.size() > 1) {
-        std::printf("sweeping %zu scheme(s) x %zu workload(s) "
-                    "(%llu warmup + %llu measured instructions per "
-                    "core)...\n",
-                    schemes.size(), workloads.size(),
-                    static_cast<unsigned long long>(cfg.warmupInstr),
-                    static_cast<unsigned long long>(
-                        cfg.measureInstr));
-        Matrix matrix = runMatrixParallel(schemes, workloads, cfg);
+    if (!single) {
         std::vector<std::string> columns;
         for (SchemeKind kind : schemes)
             columns.push_back(schemeKindName(kind));
@@ -97,29 +70,7 @@ try {
         return 0;
     }
 
-    SchemeKind kind = schemes[0];
-    const std::string &workload = workloads[0];
-    std::printf("running %s on %s (%llu warmup + %llu measured "
-                "instructions per core)...\n",
-                schemeKindName(kind).c_str(), workload.c_str(),
-                static_cast<unsigned long long>(cfg.warmupInstr),
-                static_cast<unsigned long long>(cfg.measureInstr));
-
-    beginProfiling(cfg);
-    TelemetryScope telemetry(cfg, 1);
-    System system(makeSystemConfig(kind, workload, cfg));
-    std::unique_ptr<WriteTraceSink> trace =
-        makeTraceSink(kind, workload, cfg);
-    if (trace)
-        system.attachTraceSink(trace.get());
-    SimResult r = system.run(cfg.warmupInstr, cfg.measureInstr);
-    if (trace)
-        trace->finish();
-    telemetry.noteCellDone();
-    exportRun(cfg, kind, workload, system, r, trace.get());
-    telemetry.stopPublisher();
-    exportProfile(cfg, {{kind, workload}});
-
+    const SimResult &r = matrix.at(schemes[0], workloads[0]);
     std::printf("\n--- headline metrics ---\n");
     for (std::size_t c = 0; c < r.coreIpc.size(); ++c)
         std::printf("core %zu IPC            %10.4f\n", c,
@@ -145,13 +96,7 @@ try {
                     "accurate: %+.1f)\n",
                     r.estimatedCwMean, r.estCounterDiffMean);
 
-    if (cfg.printStats) {
-        std::printf("\n--- full statistics ---\n");
-        system.dumpStats(std::cout);
-    }
     return 0;
-} catch (const std::system_error &) {
-    throw; // an OS error, not a fatal(): keep the uncaught report
-} catch (const std::runtime_error &) {
-    return 2; // fatal() has printed the diagnostic
+} catch (...) {
+    return fatalExitCode();
 }

@@ -66,13 +66,12 @@ makeScheme(SchemeKind kind, const TimingModel &model,
       case SchemeKind::LadderBasic:
         return std::make_shared<LadderBasicScheme>(layout);
       case SchemeKind::LadderEst:
-        return std::make_shared<LadderEstScheme>(layout,
-                                                 opts.shifting);
+        return std::make_shared<LadderEstScheme>(layout, true);
       case SchemeKind::LadderEstNoShift:
         return std::make_shared<LadderEstScheme>(layout, false);
       case SchemeKind::LadderHybrid:
         return std::make_shared<LadderHybridScheme>(
-            layout, opts.shifting, opts.hybridLowRows);
+            layout, true, opts.hybridLowRows);
       case SchemeKind::Oracle:
         return std::make_shared<OracleScheme>();
     }

@@ -35,8 +35,8 @@ enum class SchemeKind
 /** Options forwarded to scheme constructors. */
 struct SchemeOptions
 {
+    /** LADDER-Hybrid's accurately tracked rows (0 = none). */
     unsigned hybridLowRows = 128;
-    bool shifting = true;
 };
 
 /** All kinds in the paper's presentation order. */

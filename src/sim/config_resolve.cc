@@ -1,9 +1,13 @@
 #include "config_resolve.hh"
 
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
+#include <stdexcept>
+#include <system_error>
 
 #include "common/log.hh"
 #include "trace/workload_frontend.hh"
@@ -155,7 +159,7 @@ registerExperimentParams(Registry &reg)
                 "Cross-check derived latency surfaces against the "
                 "full MNA solver (fig11; slower)");
     reg.addBool("stats", LADDER_FIELD(printStats),
-                "Print the full statistics tree after single runs")
+                "Print each run's full statistics tree after it")
         .inManifest = false;
 
     // ---------------------------------------------------------------
@@ -232,11 +236,10 @@ registerExperimentParams(Registry &reg)
     reg.addInt<unsigned>(
         "scheme.hybrid-low-rows",
         LADDER_FIELD(schemeOptions.hybridLowRows),
-        "LADDER-Hybrid: rows nearest the driver tracked accurately",
-        1, 4096);
-    reg.addBool("scheme.shifting", LADDER_FIELD(schemeOptions.shifting),
-                "LADDER-Est: shift estimated counters toward the "
-                "observed write content");
+        "LADDER-Hybrid: wordlines nearest the write driver that keep "
+        "1-bit counters (0 = none: every row keeps LADDER-Est's "
+        "2-bit counters)",
+        0, 4096);
 
     // ---------------------------------------------------------------
     // Memory geometry (SystemConfig template)
@@ -824,6 +827,49 @@ dumpEffectiveConfig(const ExperimentConfig &config, std::ostream &os)
     experimentRegistry().dumpJson(
         config, json, ParamRegistry<ExperimentConfig>::Scope::All);
     os << "\n";
+}
+
+ResolvedExperiment
+parseBenchArgs(int argc, char **argv, ExperimentConfig &cfg,
+               std::vector<std::string> defaultWorkloads,
+               std::vector<SchemeKind> defaultSchemes)
+{
+    ResolvedExperiment args = resolveExperiment(argc, argv, cfg);
+    if (args.helpRequested && args.helpFormat == "md") {
+        experimentRegistry().helpMarkdown(std::cout, args.config);
+        std::exit(0);
+    }
+    if (args.helpRequested) {
+        std::cout << "parameters (key=value; also loadable from "
+                     "config= JSON):\n";
+        experimentRegistry().help(std::cout, args.config);
+        std::exit(0);
+    }
+    if (args.dumpRequested) {
+        dumpEffectiveConfig(args.config, std::cout);
+        std::exit(0);
+    }
+    cfg = args.config;
+    if (!args.workloadsExplicit)
+        args.workloads = defaultWorkloads.empty()
+                             ? allWorkloadNames()
+                             : std::move(defaultWorkloads);
+    if (!args.schemesExplicit)
+        args.schemes = defaultSchemes.empty() ? allSchemeKinds()
+                                              : std::move(defaultSchemes);
+    return args;
+}
+
+int
+fatalExitCode()
+{
+    try {
+        throw;
+    } catch (const std::system_error &) {
+        throw;
+    } catch (const std::runtime_error &) {
+        return 2;
+    }
 }
 
 } // namespace ladder

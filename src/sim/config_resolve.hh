@@ -31,6 +31,9 @@
  * runMatrixParallel executes; `params` go through the registry like
  * any other layer. CLI `scheme=`/`workload=` selections override the
  * spec's lists.
+ *
+ * Every driver `main` enters through parseBenchArgs() and leaves
+ * through fatalExitCode().
  */
 
 #ifndef LADDER_SIM_CONFIG_RESOLVE_HH
@@ -54,9 +57,10 @@ struct ResolvedExperiment
 {
     /** The fully-layered configuration. */
     ExperimentConfig config;
-    /** Selected workloads (valid names); empty = caller's default. */
+    /** Selected workloads (valid names); empty = caller's default,
+     *  which parseBenchArgs fills in. */
     std::vector<std::string> workloads;
-    /** Selected schemes; empty = caller's default. */
+    /** Selected schemes; empty = caller's default (as workloads). */
     std::vector<SchemeKind> schemes;
     bool workloadsExplicit = false;
     bool schemesExplicit = false;
@@ -106,6 +110,26 @@ void validateMemoryGeometry(const MemoryGeometry &geo,
 ResolvedExperiment resolveExperiment(int argc,
                                      const char *const *argv,
                                      ExperimentConfig base);
+
+/**
+ * Resolve a driver's arguments over the defaults in @p cfg, store the
+ * result in @p cfg, and fill in the selections the user left out:
+ * @p defaultWorkloads (empty = all workloads) and @p defaultSchemes
+ * (empty = the paper's seven evaluated schemes). Prints and exits 0
+ * for --help-config[=md] / --dump-config.
+ */
+ResolvedExperiment
+parseBenchArgs(int argc, char **argv, ExperimentConfig &cfg,
+               std::vector<std::string> defaultWorkloads = {},
+               std::vector<SchemeKind> defaultSchemes = {});
+
+/**
+ * Exit code for the exception a `main`'s function-try-block is
+ * handling in `catch (...)`: 2 for a fatal() anywhere, which has
+ * printed its diagnostic. An OS error (std::system_error) or any
+ * other exception is rethrown, keeping the uncaught-exception report.
+ */
+int fatalExitCode();
 
 /**
  * Emit the effective config as one flat JSON object, loadable back

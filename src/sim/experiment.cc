@@ -8,9 +8,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <iostream>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <sstream>
 
 #include "common/log.hh"
 #include "common/profiler.hh"
@@ -20,6 +22,7 @@
 #include "sim/stats_export.hh"
 #include "sim/telemetry.hh"
 #include "trace/workloads.hh"
+#include "wear/start_gap.hh"
 
 namespace ladder
 {
@@ -156,9 +159,14 @@ cellConfig(SchemeKind scheme, const std::string &workload,
     return effective;
 }
 
-SimResult
-runOne(SchemeKind scheme, const std::string &workload,
-       const ExperimentConfig &baseConfig)
+/**
+ * The run spine behind runOne and runStartGap. With @p wear set, it
+ * also levels the System's data pages with Start-Gap (when
+ * @p leveled) and fills in @p wear's page write counts.
+ */
+static SimResult
+runCell(SchemeKind scheme, const std::string &workload,
+        const ExperimentConfig &baseConfig, WearRun *wear, bool leveled)
 {
     // Per-cell parameter overrides resolve here so every downstream
     // consumer (System, trace sink, stats export) sees the same
@@ -172,17 +180,58 @@ runOne(SchemeKind scheme, const std::string &workload,
         prof::enabled()
             ? prof::internName("run " + runDirName(scheme, workload))
             : nullptr);
+    std::unique_ptr<StartGapRemapper> remap; // outlives the System
     System system(makeSystemConfig(scheme, workload, config));
     std::unique_ptr<WriteTraceSink> trace =
         makeTraceSink(scheme, workload, config);
     if (trace)
         system.attachTraceSink(trace.get());
+    if (leveled) {
+        // The gap is one physical line past the logical ones, so
+        // logical lines + gap fill the data pages exactly.
+        remap = std::make_unique<StartGapRemapper>(
+            0, system.dataPages() * MemoryGeometry::blocksPerPage - 1,
+            config.wear.startGapPsi);
+        system.setRemapper(remap.get());
+    }
     SimResult result =
         system.run(config.warmupInstr, config.measureInstr);
     if (trace)
         trace->finish();
     exportRun(config, scheme, workload, system, result, trace.get());
+    if (config.printStats) {
+        std::ostringstream tree;
+        system.dumpStats(tree);
+        static std::mutex printMutex;
+        std::lock_guard<std::mutex> lock(printMutex);
+        std::cout << "\n--- " << runDirName(scheme, workload) << " ---\n"
+                  << tree.str() << std::flush;
+    }
+    if (wear) {
+        wear->dataPages = system.dataPages();
+        wear->gapMoves = remap ? remap->gapMoves() : 0;
+        for (unsigned ch = 0; ch < system.channels(); ++ch)
+            for (const auto &[page, writes] :
+                 system.controller(ch).pageWriteCounts())
+                wear->pageWrites[page] += writes;
+    }
     return result;
+}
+
+SimResult
+runOne(SchemeKind scheme, const std::string &workload,
+       const ExperimentConfig &config)
+{
+    return runCell(scheme, workload, config, nullptr, false);
+}
+
+WearRun
+runStartGap(SchemeKind scheme, const std::string &workload,
+            const ExperimentConfig &config, bool leveled)
+{
+    WearRun out;
+    out.result = runCell(scheme, workload, config, &out, leveled);
+    return out;
 }
 
 Matrix
@@ -296,6 +345,21 @@ runMatrixParallel(const std::vector<SchemeKind> &schemes,
         exportProfile(config, cells);
     }
     return matrix;
+}
+
+std::vector<SimResult>
+runVariants(SchemeKind scheme, const std::string &workload,
+            const std::vector<ExperimentConfig> &variants)
+{
+    ThreadPool pool(variants.empty() ? 1 : variants.front().jobs);
+    std::vector<std::future<SimResult>> futures;
+    for (const ExperimentConfig &variant : variants)
+        futures.push_back(pool.submit(
+            [&]() { return runOne(scheme, workload, variant); }));
+    std::vector<SimResult> results;
+    for (auto &future : futures)
+        results.push_back(future.get());
+    return results;
 }
 
 double

@@ -1,16 +1,20 @@
 /**
  * @file
- * Experiment harness helpers shared by the benchmark binaries: build
- * a System for a (scheme, workload) pair, run the measured window,
- * normalize against the baseline, and print paper-style tables.
+ * The harness every driver runs its cells through: runOne builds,
+ * runs and exports one (scheme, workload) cell, runStartGap is runOne
+ * under §6.4 wear-leveling, and runMatrixParallel (a sweep) and
+ * runVariants (one cell under ablation configs) fan runOne out on a
+ * thread pool. Also the speedup metric and the table printer.
  */
 
 #ifndef LADDER_SIM_EXPERIMENT_HH
 #define LADDER_SIM_EXPERIMENT_HH
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -66,7 +70,7 @@ struct ExperimentConfig
     /** Cross-check derived latency surfaces with the full MNA solver
      *  (fig11's former ad-hoc `mna=1` flag). */
     bool checkMna = false;
-    /** Print the full statistics tree after single runs. */
+    /** Print each run's full statistics tree after it (runOne). */
     bool printStats = false;
     /**
      * Scale factor on L2/L3 capacities and working sets (tests use
@@ -189,7 +193,11 @@ std::unique_ptr<WriteTraceSink>
 makeTraceSink(SchemeKind scheme, const std::string &workload,
               const ExperimentConfig &config);
 
-/** Build, warm up, and measure one run. */
+/**
+ * Build, warm up, measure and export one run; with stats=1, print its
+ * statistics tree under a `--- <scheme>__<workload> ---` header (one
+ * lock keeps concurrent runs' trees whole).
+ */
 SimResult runOne(SchemeKind scheme, const std::string &workload,
                  const ExperimentConfig &config);
 
@@ -228,6 +236,35 @@ struct Matrix
 Matrix runMatrixParallel(const std::vector<SchemeKind> &schemes,
                          const std::vector<std::string> &workloads,
                          const ExperimentConfig &config);
+
+/**
+ * Run one cell under each of @p variants (an ablation) as runOne jobs
+ * on a pool of the first variant's `jobs` workers (0 = one per
+ * hardware thread). Results come back in @p variants order and do not
+ * depend on the job count; no sweep.json is written.
+ */
+std::vector<SimResult>
+runVariants(SchemeKind scheme, const std::string &workload,
+            const std::vector<ExperimentConfig> &variants);
+
+/** Outcome of one Start-Gap wear run (paper §6.4). */
+struct WearRun
+{
+    SimResult result;
+    /** Writes per page over the measured window, all channels. */
+    std::unordered_map<std::uint64_t, std::uint32_t> pageWrites;
+    /** Pages of the System's data region (what Start-Gap levels). */
+    std::uint64_t dataPages = 0;
+    std::uint64_t gapMoves = 0;
+};
+
+/**
+ * runOne that also collects the per-page write counts and, when
+ * @p leveled, levels every line of the System's data pages with
+ * Start-Gap (wear.psi).
+ */
+WearRun runStartGap(SchemeKind scheme, const std::string &workload,
+                    const ExperimentConfig &config, bool leveled);
 
 /**
  * Weighted speedup of @p result over @p baseline: mean of per-core

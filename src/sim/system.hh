@@ -136,6 +136,9 @@ class System
      */
     SolverCounters solverEffort() const;
 
+    /** Pages of the data region; the rest hold LADDER's metadata. */
+    std::uint64_t dataPages() const { return layout_->dataPages(); }
+
     /** Install a wear-leveling remapper on every controller. */
     void setRemapper(AddressRemapper *remapper);
 

@@ -221,6 +221,26 @@ TEST(ParallelDeterminism, CellCrossbarOverrideMatchesStandaloneRun)
                   .avgWriteTwrNs);
 }
 
+TEST(ParallelDeterminism, VariantsMatchStandaloneRunsInOrder)
+{
+    // An ablation's variants run on the pool, come back in variant
+    // order, and each matches the same config run on its own.
+    std::vector<ExperimentConfig> variants;
+    for (unsigned lowRows : {0u, 256u}) {
+        variants.push_back(quickConfig(4));
+        variants.back().schemeOptions.hybridLowRows = lowRows;
+    }
+    std::vector<SimResult> results =
+        runVariants(SchemeKind::LadderHybrid, "astar", variants);
+    ASSERT_EQ(results.size(), variants.size());
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectBitIdentical(
+            results[i],
+            runOne(SchemeKind::LadderHybrid, "astar", variants[i]));
+    }
+}
+
 TEST(ParallelDeterminism, NoTwoCellsShareATraceFilePath)
 {
     // Parallel sweep cells stream traces concurrently, so two cells

@@ -260,14 +260,16 @@ TEST(ParamRegistry, OutOfRangeIsDiagnosedWithDoc)
     // the retired duplicate and pinned mat keys are unknown, so no
     // crossbar can disagree with the mats the address map fills. The
     // retired extern.format is unknown too: a trace's own magic picks
-    // its parser.
+    // its parser. So is scheme.shifting: the LADDER-Est-noshift
+    // scheme is the unshifted design.
     for (const char *arg : {"xbar.rows=4", "xbar.rows=4097"}) {
         what = errorOf({arg});
         EXPECT_NE(what.find(arg), std::string::npos) << what;
         EXPECT_NE(what.find("out of range"), std::string::npos) << what;
     }
     for (const char *key : {"geom.mat-rows", "geom.mat-cols", "xbar.cols",
-                            "geom.chips", "extern.format"}) {
+                            "geom.chips", "extern.format",
+                            "scheme.shifting"}) {
         const std::string arg = std::string(key) + "=512";
         what = errorOf({arg.c_str()});
         EXPECT_NE(what.find(std::string("unknown config key '") + key +
@@ -275,6 +277,18 @@ TEST(ParamRegistry, OutOfRangeIsDiagnosedWithDoc)
                   std::string::npos)
             << what;
     }
+}
+
+// LADDER-Hybrid with no 1-bit-counter rows is a legal design point
+// (fig14's ablation sweeps it), so the lower bound admits 0.
+TEST(ParamRegistry, HybridLowRowsAdmitsZero)
+{
+    EXPECT_EQ(resolve({"scheme.hybrid-low-rows=0"})
+                  .config.schemeOptions.hybridLowRows,
+              0u);
+    EXPECT_NE(errorOf({"scheme.hybrid-low-rows=4097"})
+                  .find("out of range"),
+              std::string::npos);
 }
 
 TEST(ParamRegistry, NonNumericValueIsRejected)

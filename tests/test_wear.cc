@@ -150,5 +150,38 @@ TEST(WearIntegration, StartGapPreservesSystemCorrectness)
     EXPECT_GT(remap.gapMoves(), 0u);
 }
 
+TEST(WearIntegration, StartGapRunLevelsTheDataRegion)
+{
+    // Unleveled, the shared Start-Gap run is runOne's run plus the
+    // merged page write counts; leveled, it injects gap moves over the
+    // System's data pages.
+    ExperimentConfig cfg;
+    cfg.warmupInstr = 60'000;
+    cfg.measureInstr = 30'000;
+    cfg.cacheScale = 1.0 / 16.0;
+    cfg.wear.startGapPsi = 20;
+    WearRun plain =
+        runStartGap(SchemeKind::LadderEst, "astar", cfg, false);
+    SimResult one = runOne(SchemeKind::LadderEst, "astar", cfg);
+    EXPECT_EQ(plain.result.dataWrites, one.dataWrites);
+    EXPECT_EQ(plain.result.elapsedNs, one.elapsedNs);
+    EXPECT_EQ(plain.gapMoves, 0u);
+    std::uint64_t pageWrites = 0;
+    for (const auto &entry : plain.pageWrites)
+        pageWrites += entry.second;
+    EXPECT_GT(pageWrites, 0u);
+
+    WearRun leveled =
+        runStartGap(SchemeKind::LadderEst, "astar", cfg, true);
+    EXPECT_GT(leveled.gapMoves, 0u);
+    EXPECT_GT(leveled.result.dataWrites, 0u);
+    EXPECT_EQ(leveled.dataPages, plain.dataPages);
+    SystemConfig sys = makeSystemConfig(SchemeKind::LadderEst, "astar", cfg);
+    EXPECT_EQ(plain.dataPages,
+              static_cast<std::uint64_t>(
+                  AddressMap(sys.geometry).totalPages() *
+                  sys.dataPageFraction));
+}
+
 } // namespace
 } // namespace ladder
