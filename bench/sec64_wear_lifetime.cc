@@ -97,45 +97,47 @@ try {
                     lifetime(results[i]).unevenness);
     }
 
-    double extraWrites =
-        (static_cast<double>(hybWl.result.dataWrites +
-                             hybWl.result.metadataWrites) /
-             static_cast<double>(baseWl.result.dataWrites +
-                                 baseWl.result.metadataWrites) -
-         1.0) *
-        100.0;
-    // A run without writes has no lifetime to compare: nan, named,
-    // as printNormalizedTable does for a degenerate baseline.
-    const char *degenerate = baseWl.result.degenerate ? runs[1].name
-                             : hybWl.result.degenerate ? runs[3].name
-                                                       : nullptr;
-    if (degenerate) {
-        std::fprintf(stderr,
-                     "warn: %s run is degenerate for workload '%s'; "
-                     "relative lifetime is nan\n",
-                     degenerate, workload.c_str());
+    // A line comparing a run without writes has nothing to compare:
+    // it prints nan, as printNormalizedTable does for a degenerate
+    // baseline, and each such run is named once on stderr.
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].result.degenerate) {
+            std::fprintf(stderr,
+                         "warn: %s run is degenerate for workload "
+                         "'%s'; lines comparing it print nan\n",
+                         runs[i].name, workload.c_str());
+        }
     }
-    double perfCost =
-        (1.0 - hybWl.result.ipc / hybNo.result.ipc) * 100.0;
-    double gainOverBase =
-        (hybWl.result.ipc / baseWl.result.ipc - 1.0) * 100.0;
+    auto printLine = [](const char *label, const WearRun &a,
+                        const WearRun &b, double percent,
+                        const char *paper) {
+        std::printf("%s: ", label);
+        if (a.result.degenerate || b.result.degenerate)
+            std::printf("nan");
+        else
+            std::printf("%.1f%%", percent);
+        std::printf(" (paper %s)\n", paper);
+    };
+    auto writes = [](const WearRun &run) {
+        return static_cast<double>(run.result.dataWrites +
+                                   run.result.metadataWrites);
+    };
 
-    std::printf("\nextra writes from LADDER metadata: %.1f%% (paper "
-                "~3%%)\n",
-                extraWrites);
-    std::printf("relative lifetime (Hybrid/baseline, leveled): ");
-    if (degenerate)
-        std::printf("nan");
-    else
-        std::printf("%.1f%%", 100.0 * lifetime(hybWl).leveledYears /
-                                  lifetime(baseWl).leveledYears);
-    std::printf(" (paper 97.1%%)\n");
-    std::printf("performance cost of wear-leveling on LADDER: "
-                "%.1f%% (paper ~1-2%%)\n",
-                perfCost);
-    std::printf("LADDER-Hybrid + WL gain over baseline + WL: "
-                "%.1f%% (paper ~44%%)\n",
-                gainOverBase);
+    std::printf("\n");
+    printLine("extra writes from LADDER metadata", hybWl, baseWl,
+              (writes(hybWl) / writes(baseWl) - 1.0) * 100.0, "~3%");
+    printLine("relative lifetime (Hybrid/baseline, leveled)", hybWl,
+              baseWl,
+              100.0 * lifetime(hybWl).leveledYears /
+                  lifetime(baseWl).leveledYears,
+              "97.1%");
+    printLine("performance cost of wear-leveling on LADDER", hybWl,
+              hybNo, (1.0 - hybWl.result.ipc / hybNo.result.ipc) * 100.0,
+              "~1-2%");
+    printLine("LADDER-Hybrid + WL gain over baseline + WL", hybWl,
+              baseWl,
+              (hybWl.result.ipc / baseWl.result.ipc - 1.0) * 100.0,
+              "~44%");
     return 0;
 } catch (...) {
     return fatalExitCode();

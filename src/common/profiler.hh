@@ -180,11 +180,4 @@ class Scope
     ::ladder::prof::Scope LADDER_PROF_CONCAT(ladder_prof_scope_, \
                                              __LINE__)(name)
 
-/** Timestamped counter sample (Chrome "C" event). */
-#define PROF_COUNTER(name, value) \
-    do { \
-        if (::ladder::prof::enabled()) \
-            ::ladder::prof::recordCounter((name), (value)); \
-    } while (0)
-
 #endif // LADDER_COMMON_PROFILER_HH

@@ -4,7 +4,6 @@
 
 #include "common/log.hh"
 #include "common/metrics.hh"
-#include "common/profiler.hh"
 #include "reram/latency_surface.hh"
 
 namespace ladder
@@ -612,7 +611,6 @@ const TimingEntry &
 MemoryController::ladderTiming(unsigned wordline, unsigned bitline,
                                unsigned lrsCount) const
 {
-    PROF_COUNTER("surface_lookups", 1.0);
     return timing_.ladderSurface->lookup(wordline, bitline, lrsCount);
 }
 
@@ -620,7 +618,6 @@ const TimingEntry &
 MemoryController::blpTiming(unsigned wordline, unsigned bitline,
                             unsigned lrsCount) const
 {
-    PROF_COUNTER("surface_lookups", 1.0);
     return timing_.blpSurface->lookup(wordline, bitline, lrsCount);
 }
 
@@ -628,7 +625,6 @@ const TimingEntry &
 MemoryController::locationTiming(unsigned wordline,
                                  unsigned bitline) const
 {
-    PROF_COUNTER("surface_lookups", 1.0);
     return timing_.locationSurface->lookup(wordline, bitline, 0);
 }
 

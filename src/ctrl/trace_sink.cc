@@ -1,17 +1,10 @@
 #include "trace_sink.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <thread>
+#include <string_view>
 
-#if defined(__linux__)
-#include <pthread.h>
-#endif
-
-#include "common/bounded_queue.hh"
 #include "common/crc32.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
@@ -29,14 +22,6 @@ traceChunksMetric()
 {
     static const metrics::MetricId id =
         metrics::registerCounter("trace.chunks_flushed");
-    return id;
-}
-
-metrics::MetricId
-traceStallsMetric()
-{
-    static const metrics::MetricId id =
-        metrics::registerCounter("trace.backpressure_stalls");
     return id;
 }
 
@@ -114,62 +99,12 @@ appendCsvRow(std::string &out, const CtrlTraceRecord &r,
     out += '\n';
 }
 
-/** v2/v3 file header: magic, version, chunk capacity. */
-std::string
-serializeV2Header(std::size_t chunkRecords, bool attribution)
-{
-    std::string out(traceFileMagic, sizeof(traceFileMagic));
-    appendU32(out, attribution ? traceAttrVersion : traceBaseVersion);
-    appendU32(out, static_cast<std::uint32_t>(chunkRecords));
-    return out;
-}
-
 struct ChunkIndexEntry
 {
     std::uint64_t offset = 0; //!< file offset of the chunk magic
     std::uint32_t records = 0;
     std::uint32_t crc = 0;
 };
-
-/** One v2/v3 chunk: magic, count, payload CRC-32, packed records. */
-std::string
-serializeV2Chunk(const CtrlTraceRecord *records, std::size_t count,
-                 std::uint32_t *crcOut, bool attribution)
-{
-    std::string payload;
-    payload.reserve(count * (attribution ? traceAttrRecordBytes
-                                         : traceRecordBytes));
-    for (std::size_t i = 0; i < count; ++i)
-        appendRecord(payload, records[i], attribution);
-    std::uint32_t crc = crc32(payload.data(), payload.size());
-    if (crcOut)
-        *crcOut = crc;
-    std::string out(traceChunkMagic, sizeof(traceChunkMagic));
-    appendU32(out, static_cast<std::uint32_t>(count));
-    appendU32(out, crc);
-    out += payload;
-    return out;
-}
-
-/** v2 footer + trailer for the given chunk index. */
-std::string
-serializeV2Footer(const std::vector<ChunkIndexEntry> &index,
-                  std::uint64_t totalRecords,
-                  std::uint64_t footerOffset)
-{
-    std::string footer(traceFooterMagic, sizeof(traceFooterMagic));
-    appendU32(footer, static_cast<std::uint32_t>(index.size()));
-    appendU64(footer, totalRecords);
-    for (const ChunkIndexEntry &entry : index) {
-        appendU64(footer, entry.offset);
-        appendU32(footer, entry.records);
-        appendU32(footer, entry.crc);
-    }
-    appendU32(footer, crc32(footer.data(), footer.size()));
-    appendU64(footer, footerOffset);
-    footer.append(traceEndMagic, sizeof(traceEndMagic));
-    return footer;
-}
 
 } // namespace
 
@@ -191,210 +126,180 @@ traceFormatExtension(TraceFormat format)
 }
 
 /**
- * Streaming state: the output stream, the writer thread, and the
- * bounded chunk queue between them. The simulation thread owns the
- * fill chunk; the writer thread owns the ofstream and the chunk index
- * while running (the index is read by the finisher only after join).
+ * The one serializer behind both modes: the header on construction,
+ * one chunk per append() (a CSV chunk is just its rows), and the
+ * v2/v3 footer and trailer in finish(). It tracks the byte offset and
+ * the chunk index the footer needs.
  */
-struct WriteTraceSink::Stream
+struct WriteTraceSink::ChunkWriter
 {
-    explicit Stream(std::size_t maxQueuedChunks)
-        : queue(maxQueuedChunks)
+    ChunkWriter(std::ostream &out, TraceFormat fmt,
+                std::size_t chunkRecords, bool attr)
+        : os(out), format(fmt), attribution(attr)
     {
+        if (format == TraceFormat::Csv) {
+            put(attribution ? traceCsvHeaderAttr : traceCsvHeader);
+            return;
+        }
+        std::string header(traceFileMagic, sizeof(traceFileMagic));
+        appendU32(header,
+                  attribution ? traceAttrVersion : traceBaseVersion);
+        appendU32(header, static_cast<std::uint32_t>(chunkRecords));
+        put(header);
     }
 
-    std::ofstream os;
-    BoundedQueue<std::vector<CtrlTraceRecord>> queue;
-    std::thread writer;
-    std::atomic<std::size_t> inFlight{0}; //!< queued, unwritten records
-    std::atomic<bool> failed{false};
-    std::uint64_t offset = 0; //!< bytes written so far
+    void
+    append(const CtrlTraceRecord *records, std::size_t count)
+    {
+        written += count;
+        std::string payload;
+        if (format == TraceFormat::Csv) {
+            for (std::size_t i = 0; i < count; ++i)
+                appendCsvRow(payload, records[i], attribution);
+            put(payload);
+            return;
+        }
+        payload.reserve(count * (attribution ? traceAttrRecordBytes
+                                             : traceRecordBytes));
+        for (std::size_t i = 0; i < count; ++i)
+            appendRecord(payload, records[i], attribution);
+        ChunkIndexEntry entry;
+        entry.offset = offset;
+        entry.records = static_cast<std::uint32_t>(count);
+        entry.crc = crc32(payload.data(), payload.size());
+        index.push_back(entry);
+        std::string header(traceChunkMagic, sizeof(traceChunkMagic));
+        appendU32(header, entry.records);
+        appendU32(header, entry.crc);
+        put(header);
+        put(payload);
+    }
+
+    void
+    finish()
+    {
+        if (format == TraceFormat::Csv)
+            return;
+        std::string footer(traceFooterMagic, sizeof(traceFooterMagic));
+        appendU32(footer, static_cast<std::uint32_t>(index.size()));
+        appendU64(footer, written);
+        for (const ChunkIndexEntry &entry : index) {
+            appendU64(footer, entry.offset);
+            appendU32(footer, entry.records);
+            appendU32(footer, entry.crc);
+        }
+        appendU32(footer, crc32(footer.data(), footer.size()));
+        appendU64(footer, offset); // the footer starts here
+        footer.append(traceEndMagic, sizeof(traceEndMagic));
+        put(footer);
+    }
+
+    void
+    put(std::string_view bytes)
+    {
+        os.write(bytes.data(),
+                 static_cast<std::streamsize>(bytes.size()));
+        offset += bytes.size();
+    }
+
+    std::ostream &os;
+    const TraceFormat format;
+    const bool attribution;
+    std::uint64_t offset = 0;  //!< bytes written so far
     std::uint64_t written = 0; //!< records written so far
     std::vector<ChunkIndexEntry> index;
-    bool finished = false;
 };
 
 WriteTraceSink::WriteTraceSink() = default;
 
 WriteTraceSink::WriteTraceSink(const std::string &path,
                                TraceFormat format,
-                               const TraceStreamOptions &options,
+                               std::size_t chunkRecords,
                                bool attribution)
-    : path_(path), format_(format), options_(options),
+    : path_(path), format_(format), chunkRecords_(chunkRecords),
       attribution_(attribution)
 {
-    ladder_assert(options_.chunkRecords > 0,
-                  "streaming trace: zero chunk size");
-    ladder_assert(options_.maxQueuedChunks > 0,
-                  "streaming trace: zero queue capacity");
-    records_.reserve(options_.chunkRecords);
-    startStream();
+    ladder_assert(chunkRecords_ > 0, "streaming trace: zero chunk size");
+    records_.reserve(chunkRecords_);
+    openFile();
 }
 
 WriteTraceSink::~WriteTraceSink()
 {
-    if (stream_ && !stream_->finished) {
-        // Flush on destruction; IO failures still panic via the
-        // ladder_assert in finish(), which is fine — panic aborts.
-        finish();
-    }
+    // A write error here panics out of a destructor, which terminates
+    // the program; callers that want to handle it call finish() first.
+    finish();
 }
 
 void
-WriteTraceSink::startStream()
+WriteTraceSink::openFile()
 {
-    auto stream = std::make_unique<Stream>(options_.maxQueuedChunks);
-    stream->os.open(path_, std::ios::binary | std::ios::trunc);
-    ladder_assert(stream->os.good(), "cannot open trace file %s",
+    writer_.reset();
+    file_.close();
+    file_.open(path_, std::ios::binary | std::ios::trunc);
+    ladder_assert(file_.good(), "cannot open trace file %s",
                   path_.c_str());
-    std::string header =
-        format_ == TraceFormat::BinaryV2
-            ? serializeV2Header(options_.chunkRecords, attribution_)
-            : std::string(attribution_ ? traceCsvHeaderAttr
-                                       : traceCsvHeader);
-    stream->os.write(header.data(),
-                     static_cast<std::streamsize>(header.size()));
-    stream->offset = header.size();
-    Stream *raw = stream.get();
-    TraceFormat format = format_;
-    bool attribution = attribution_;
-    stream->writer = std::thread([raw, format, attribution]() {
-#if defined(__linux__)
-        pthread_setname_np(pthread_self(), "ladder-trace");
-#endif
-        prof::setCurrentThreadName("ladder-trace");
-        while (auto chunk = raw->queue.pop()) {
-            if (!raw->failed.load(std::memory_order_relaxed)) {
-                PROF_SCOPE("trace_flush");
-                if (metrics::enabled())
-                    metrics::add(traceChunksMetric());
-                std::string bytes;
-                if (format == TraceFormat::BinaryV2) {
-                    ChunkIndexEntry entry;
-                    entry.offset = raw->offset;
-                    entry.records =
-                        static_cast<std::uint32_t>(chunk->size());
-                    bytes = serializeV2Chunk(chunk->data(),
-                                             chunk->size(), &entry.crc,
-                                             attribution);
-                    raw->index.push_back(entry);
-                } else {
-                    for (const CtrlTraceRecord &r : *chunk)
-                        appendCsvRow(bytes, r, attribution);
-                }
-                raw->os.write(
-                    bytes.data(),
-                    static_cast<std::streamsize>(bytes.size()));
-                raw->offset += bytes.size();
-                raw->written += chunk->size();
-                if (!raw->os.good())
-                    raw->failed.store(true,
-                                      std::memory_order_relaxed);
-            }
-            // On failure keep draining so the producer never blocks
-            // on a queue nobody is emptying.
-            raw->inFlight.fetch_sub(chunk->size(),
-                                    std::memory_order_relaxed);
-        }
-    });
-    stream_ = std::move(stream);
+    writer_ = std::make_unique<ChunkWriter>(file_, format_,
+                                            chunkRecords_, attribution_);
 }
 
 void
-WriteTraceSink::pushChunk(std::vector<CtrlTraceRecord> &&chunk)
+WriteTraceSink::flushChunk()
 {
-    if (chunk.empty())
-        return;
-    stream_->inFlight.fetch_add(chunk.size(),
-                                std::memory_order_relaxed);
-    // Blocks while the queue is full: backpressure instead of
-    // unbounded buffering when the disk cannot keep up. The size
-    // probe is racy, which is fine for a stall tally.
-    if (metrics::enabled() &&
-        stream_->queue.size() >= stream_->queue.capacity())
-        metrics::add(traceStallsMetric());
-    bool pushed = stream_->queue.push(std::move(chunk));
-    ladder_assert(pushed, "trace chunk pushed after finish()");
-}
-
-void
-WriteTraceSink::stopStream(bool writeFooter)
-{
-    Stream &stream = *stream_;
-    stream.queue.close();
-    if (stream.writer.joinable())
-        stream.writer.join();
-    if (writeFooter && format_ == TraceFormat::BinaryV2) {
-        std::string footer = serializeV2Footer(
-            stream.index, stream.written, stream.offset);
-        stream.os.write(footer.data(),
-                        static_cast<std::streamsize>(footer.size()));
-    }
-    if (writeFooter) {
-        stream.os.flush();
-        if (!stream.os.good())
-            stream.failed.store(true, std::memory_order_relaxed);
-    }
-    stream.os.close();
-    stream.finished = true;
-    ladder_assert(!stream.failed.load(), "write error on trace file %s",
+    PROF_SCOPE("trace_flush");
+    if (metrics::enabled())
+        metrics::add(traceChunksMetric());
+    writer_->append(records_.data(), records_.size());
+    records_.clear();
+    // A failed sink counts as finished, so the destructor does not
+    // panic a second time while the first one unwinds.
+    if (!file_.good())
+        writer_.reset();
+    ladder_assert(writer_, "write error on trace file %s",
                   path_.c_str());
 }
 
 void
 WriteTraceSink::record(const CtrlTraceRecord &r)
 {
-    if (!stream_) {
-        records_.push_back(r);
-        ++total_;
-        peakBuffered_ = std::max(peakBuffered_, records_.size());
-        return;
-    }
-    ladder_assert(!stream_->finished, "record() after finish()");
+    ladder_assert(!streaming() || writer_, "record() after finish()");
     records_.push_back(r);
     ++total_;
-    std::size_t resident =
-        records_.size() +
-        stream_->inFlight.load(std::memory_order_relaxed);
-    peakBuffered_ = std::max(peakBuffered_, resident);
-    if (records_.size() >= options_.chunkRecords) {
-        std::vector<CtrlTraceRecord> chunk;
-        chunk.reserve(options_.chunkRecords);
-        chunk.swap(records_);
-        pushChunk(std::move(chunk));
-    }
+    peakBuffered_ = std::max(peakBuffered_, records_.size());
+    if (streaming() && records_.size() >= chunkRecords_)
+        flushChunk();
 }
 
 void
 WriteTraceSink::clear()
 {
-    if (stream_) {
-        // Restart the file from scratch: drop the fill chunk, retire
-        // the writer (discarded bytes included), truncate, re-open.
-        records_.clear();
-        stopStream(/*writeFooter=*/false);
-        stream_.reset();
-        startStream();
-    } else {
-        records_.clear();
-    }
+    records_.clear();
     total_ = 0;
+    // Restart the file from scratch, so the ramp records a run
+    // discards never reach the final trace.
+    if (streaming())
+        openFile();
 }
 
 void
 WriteTraceSink::finish()
 {
-    if (!stream_ || stream_->finished)
+    if (!writer_)
         return;
-    pushChunk(std::move(records_));
+    if (!records_.empty())
+        flushChunk();
     records_ = {};
-    stopStream(/*writeFooter=*/true);
+    writer_->finish();
+    writer_.reset();
+    file_.close();
+    ladder_assert(!file_.fail(), "write error on trace file %s",
+                  path_.c_str());
 }
 
 const std::vector<CtrlTraceRecord> &
 WriteTraceSink::records() const
 {
-    ladder_assert(!stream_,
+    ladder_assert(!streaming(),
                   "records() is buffered-mode only (streaming traces "
                   "live on disk; use TraceReader)");
     return records_;
@@ -403,60 +308,40 @@ WriteTraceSink::records() const
 void
 WriteTraceSink::setAttribution(bool attribution)
 {
-    ladder_assert(!stream_,
+    ladder_assert(!streaming(),
                   "setAttribution() is buffered-mode only (streaming "
                   "sinks fix the format at construction)");
     attribution_ = attribution;
 }
 
 void
+WriteTraceSink::serialize(std::ostream &os, TraceFormat format,
+                          std::size_t chunkRecords) const
+{
+    ladder_assert(!streaming(), "serializing a trace is buffered-mode "
+                                "only (streaming sinks write as they go)");
+    ladder_assert(chunkRecords > 0, "trace serialization: zero chunk "
+                                    "size");
+    PROF_SCOPE("trace_flush");
+    ChunkWriter writer(os, format, chunkRecords, attribution_);
+    for (std::size_t start = 0; start < records_.size();
+         start += chunkRecords)
+        writer.append(records_.data() + start,
+                      std::min(chunkRecords, records_.size() - start));
+    writer.finish();
+}
+
+void
 WriteTraceSink::writeCsv(std::ostream &os) const
 {
-    ladder_assert(!stream_, "writeCsv() is buffered-mode only");
-    PROF_SCOPE("trace_flush");
-    if (attribution_)
-        os.write(traceCsvHeaderAttr, sizeof(traceCsvHeaderAttr) - 1);
-    else
-        os.write(traceCsvHeader, sizeof(traceCsvHeader) - 1);
-    std::string row;
-    for (const CtrlTraceRecord &r : records_) {
-        row.clear();
-        appendCsvRow(row, r, attribution_);
-        os.write(row.data(), static_cast<std::streamsize>(row.size()));
-    }
+    serialize(os, TraceFormat::Csv, traceDefaultChunkRecords);
 }
 
 void
 WriteTraceSink::writeBinaryV2(std::ostream &os,
                               std::size_t chunkRecords) const
 {
-    ladder_assert(!stream_, "writeBinaryV2() is buffered-mode only");
-    PROF_SCOPE("trace_flush");
-    ladder_assert(chunkRecords > 0, "writeBinaryV2: zero chunk size");
-    std::string header = serializeV2Header(chunkRecords, attribution_);
-    os.write(header.data(),
-             static_cast<std::streamsize>(header.size()));
-    std::uint64_t offset = header.size();
-    std::vector<ChunkIndexEntry> index;
-    for (std::size_t start = 0; start < records_.size();
-         start += chunkRecords) {
-        std::size_t count =
-            std::min(chunkRecords, records_.size() - start);
-        ChunkIndexEntry entry;
-        entry.offset = offset;
-        entry.records = static_cast<std::uint32_t>(count);
-        std::string chunk = serializeV2Chunk(records_.data() + start,
-                                             count, &entry.crc,
-                                             attribution_);
-        os.write(chunk.data(),
-                 static_cast<std::streamsize>(chunk.size()));
-        offset += chunk.size();
-        index.push_back(entry);
-    }
-    std::string footer =
-        serializeV2Footer(index, records_.size(), offset);
-    os.write(footer.data(),
-             static_cast<std::streamsize>(footer.size()));
+    serialize(os, TraceFormat::BinaryV2, chunkRecords);
 }
 
 } // namespace ladder

@@ -7,12 +7,13 @@
  *  - Buffered (default): records accumulate in memory and are
  *    serialized once at the end of a run — CSV (self-describing,
  *    plottable) or the v2 chunked binary.
- *  - Streaming: constructed with an output path, the sink appends
- *    records into fixed-size chunks that are handed to a background
- *    writer thread over a bounded queue with backpressure, so peak
- *    trace memory is O(chunk size) however long the run is. Streaming
- *    emits CSV or the v2 chunked binary and produces bytes identical
- *    to the buffered serialization of the same record sequence.
+ *  - Streaming: constructed with an output path, the sink fills one
+ *    fixed-size chunk and writes it to the file, on the thread that
+ *    calls record(), each time it is full, so peak trace memory is
+ *    one chunk however long the run is. Streaming emits CSV or the
+ *    v2 chunked binary through the same chunk writer as the buffered
+ *    serializers, so its bytes are identical to the buffered
+ *    serialization of the same record sequence.
  *
  * Records are appended from the (single-threaded) event loop of one
  * System, in event order, so a trace is deterministic for a given run
@@ -38,6 +39,7 @@
 #define LADDER_CTRL_TRACE_SINK_HH
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -102,18 +104,8 @@ TraceFormat traceFormatFromName(const std::string &name);
 /** File name extension for a format ("csv" or "bin"). */
 std::string traceFormatExtension(TraceFormat format);
 
-/** Knobs for the streaming mode. */
-struct TraceStreamOptions
-{
-    /** Records per chunk (chunk = unit of buffering and flushing). */
-    std::size_t chunkRecords = 64 * 1024;
-    /**
-     * Bounded-queue capacity in chunks between the simulation thread
-     * and the writer thread; when full, record() blocks
-     * (backpressure) instead of growing the buffer.
-     */
-    std::size_t maxQueuedChunks = 4;
-};
+/** Records per chunk unless a caller picks another size. */
+inline constexpr std::size_t traceDefaultChunkRecords = 64 * 1024;
 
 /** Trace buffer with buffered and streaming operation (see @file). */
 class WriteTraceSink
@@ -123,13 +115,13 @@ class WriteTraceSink
     WriteTraceSink();
 
     /**
-     * Streaming mode: open @p path (truncating) and flush chunks of
-     * records to it from a background writer thread as the run
-     * progresses. Call finish() (or let the destructor) to flush the
-     * final partial chunk and the v2 footer.
+     * Streaming mode: open @p path (truncating) and write each chunk
+     * of @p chunkRecords records to it as soon as it fills. Call
+     * finish() (or let the destructor) to write the final partial
+     * chunk and the v2 footer.
      */
     WriteTraceSink(const std::string &path, TraceFormat format,
-                   const TraceStreamOptions &options = {},
+                   std::size_t chunkRecords = traceDefaultChunkRecords,
                    bool attribution = false);
 
     ~WriteTraceSink();
@@ -149,7 +141,7 @@ class WriteTraceSink
      */
     void clear();
 
-    bool streaming() const { return stream_ != nullptr; }
+    bool streaming() const { return !path_.empty(); }
 
     /**
      * Whether serializations carry the per-record blame block (CSV
@@ -166,18 +158,17 @@ class WriteTraceSink
     const std::string &path() const { return path_; }
 
     /**
-     * Streaming mode: flush the final partial chunk, write the v2
-     * footer, join the writer thread, and close the file. Idempotent;
-     * record() must not be called afterwards. Buffered mode: no-op.
+     * Streaming mode: write the final partial chunk and the v2
+     * footer, and close the file. Idempotent; record() must not be
+     * called afterwards. Buffered mode: no-op.
      */
     void finish();
 
     /**
      * High-water mark of records resident in this sink at any instant
-     * (buffered mode: the full buffer; streaming mode: the fill chunk
-     * plus queued and in-flight chunks). The bounded-memory guarantee
-     * is `peak <= chunkRecords * (maxQueuedChunks + 2)` in streaming
-     * mode, which tests assert.
+     * (buffered mode: the full buffer; streaming mode: the fill
+     * chunk). The bounded-memory guarantee is `peak <= chunkRecords`
+     * in streaming mode, which tests assert.
      */
     std::size_t peakBufferedRecords() const
     {
@@ -199,17 +190,19 @@ class WriteTraceSink
                        std::size_t chunkRecords) const;
 
   private:
-    struct Stream;
+    struct ChunkWriter;
 
-    void startStream();
-    void pushChunk(std::vector<CtrlTraceRecord> &&chunk);
-    void stopStream(bool writeFooter);
+    void openFile();
+    void flushChunk();
+    void serialize(std::ostream &os, TraceFormat format,
+                   std::size_t chunkRecords) const;
 
     std::string path_;          //!< streaming only
     TraceFormat format_ = TraceFormat::Csv;
-    TraceStreamOptions options_{};
+    std::size_t chunkRecords_ = traceDefaultChunkRecords;
     bool attribution_ = false;
-    std::unique_ptr<Stream> stream_; //!< non-null in streaming mode
+    std::ofstream file_;                  //!< streaming only
+    std::unique_ptr<ChunkWriter> writer_; //!< streaming, until finish()
 
     std::vector<CtrlTraceRecord> records_; //!< buffer / fill chunk
     std::size_t total_ = 0;

@@ -111,16 +111,14 @@ makeTraceSink(SchemeKind scheme, const std::string &workload,
         return sink;
     }
     // Streaming mode opens the (unique, per-cell) output file up
-    // front and flushes chunks while the run executes.
+    // front and writes each chunk as it fills while the run executes.
     std::filesystem::path path =
         traceFilePath(config, scheme, workload);
     std::filesystem::create_directories(path.parent_path());
-    TraceStreamOptions options;
-    options.chunkRecords =
-        static_cast<std::size_t>(config.traceChunkRecords);
     return std::make_unique<WriteTraceSink>(
         path.string(), traceFormatFromName(config.traceFormat),
-        options, attribution);
+        static_cast<std::size_t>(config.traceChunkRecords),
+        attribution);
 }
 
 /**

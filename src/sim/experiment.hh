@@ -100,10 +100,10 @@ struct ExperimentConfig
     std::string traceOutDir;
     std::string traceFormat = "csv"; //!< "csv" or "bin2"
     /**
-     * Stream each run's trace to disk *while it executes* through a
-     * bounded queue and a background writer thread, instead of
-     * buffering every record until the end: peak trace memory becomes
-     * O(traceChunkRecords) regardless of run length, and the emitted
+     * Stream each run's trace to disk *while it executes*, one chunk
+     * at a time as it fills, instead of buffering every record until
+     * the end: peak trace memory becomes one chunk of
+     * traceChunkRecords regardless of run length, and the emitted
      * bytes are identical to the buffered serialization.
      */
     bool traceStream = false;
@@ -185,9 +185,10 @@ SystemConfig makeSystemConfig(SchemeKind scheme,
  * Build the per-run trace sink for one (scheme, workload) cell:
  * nullptr when tracing is off, a buffered sink (serialized by
  * exportRun after the run) by default, or — with config.traceStream —
- * a streaming sink that flushes chunks to the unique per-cell trace
- * path while the run executes. Callers owning the run loop must call
- * finish() on a streaming sink before exportRun.
+ * a streaming sink that writes each full chunk to the unique per-cell
+ * trace path, on the run's own thread, while the run executes.
+ * Callers owning the run loop must call finish() on a streaming sink
+ * before exportRun.
  */
 std::unique_ptr<WriteTraceSink>
 makeTraceSink(SchemeKind scheme, const std::string &workload,

@@ -260,7 +260,7 @@ TEST(StatsExport, StreamingTracesMatchBufferedAtAnyJobCount)
 {
     // The headline streaming guarantee: for a given config, the trace
     // bytes on disk are identical whether the sink buffered the whole
-    // run or streamed fixed-size chunks from a background writer —
+    // run or wrote each fixed-size chunk as it filled —
     // and identical again at any sweep parallelism.
     std::vector<SchemeKind> schemes = {SchemeKind::Baseline,
                                        SchemeKind::LadderHybrid};

@@ -603,6 +603,31 @@ TEST(ParamRegistry, CommittedExampleConfigsResolve)
     EXPECT_EQ(s.config.measureInstr, 40000u);
 }
 
+TEST(ParamRegistry, CommittedManifestsLoadAsConfigFiles)
+{
+    // Every committed export's resolved_config must load back the way
+    // config= loads a file, so a key retired from the registry but
+    // left in a golden or the behaviour-gate baseline fails here.
+    const fs::path tests = fs::path(LADDER_SOURCE_DIR) / "tests";
+    std::vector<fs::path> manifests = {
+        tests / "baselines" / "perf-gate" / "sweep.json"};
+    for (const auto &cell : fs::directory_iterator(tests / "golden"))
+        if (cell.is_directory())
+            manifests.push_back(cell.path() / "stats.json");
+    ASSERT_GE(manifests.size(), 3u);
+    for (const fs::path &path : manifests) {
+        JsonValue doc = parseJson(slurp(path));
+        ASSERT_TRUE(doc.has("resolved_config")) << path;
+        ExperimentConfig cfg;
+        try {
+            experimentRegistry().applyJson(
+                cfg, doc.at("resolved_config"), path.string());
+        } catch (const std::runtime_error &e) {
+            ADD_FAILURE() << e.what();
+        }
+    }
+}
+
 TEST(ParamRegistry, FileAndCliRunsAreByteIdenticalAtAnyJobs)
 {
     ASSERT_TRUE(pinnedDescribe);

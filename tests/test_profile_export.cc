@@ -140,6 +140,38 @@ TEST(ProfileExport, ProfilingLeavesStatsExportsByteIdentical)
     fs::remove_all(dir);
 }
 
+TEST(ProfileExport, CountersComeOnlyFromTelemetry)
+{
+    // Host counter samples (pid 1) mirror telemetry gauges; with
+    // telemetry off a profiled LADDER run (timing lookups on every
+    // write) has none. The sim-time queue-depth tracks are not host
+    // samples.
+    fs::path dir =
+        fs::path(::testing::TempDir()) / "ladder_profile_counters";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    ExperimentConfig cfg = quickConfig(dir);
+    ASSERT_EQ(cfg.telemetryIntervalMs, 0u);
+    cfg.profileOut = (dir / "profile.json").string();
+    runMatrixParallel({SchemeKind::LadderHybrid}, {"astar"}, cfg);
+    prof::reset();
+
+    JsonValue doc = parseJson(slurp(cfg.profileOut));
+    std::size_t counters = 0;
+    bool sawWrite = false;
+    for (const auto &ev : doc.at("traceEvents").array) {
+        if (ev.at("ph").string == "C" && ev.at("pid").number == 1.0)
+            ++counters;
+        if (ev.at("ph").string == "X" && ev.at("name").string == "write")
+            sawWrite = true;
+    }
+    EXPECT_TRUE(sawWrite) << "the run must reach the write path";
+    EXPECT_EQ(counters, 0u);
+
+    fs::remove_all(dir);
+}
+
 TEST(ProfileExport, WriteChromeTraceSerializesHandAuthoredLogs)
 {
     prof::ThreadLog log;

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -420,29 +421,24 @@ TEST(TraceStream, BoundedMemoryByteIdenticalToBuffered)
     fs::path binPath = dir / "stream.bin";
     fs::path csvPath = dir / "stream.csv";
 
-    TraceStreamOptions options;
-    options.chunkRecords = chunk;
     {
         WriteTraceSink sink(binPath.string(), TraceFormat::BinaryV2,
-                            options);
+                            chunk);
         ASSERT_TRUE(sink.streaming());
         for (const auto &r : records)
             sink.record(r);
         sink.finish();
         EXPECT_EQ(sink.size(), count);
-        // The bounded-memory guarantee: the fill chunk plus queued
-        // plus in-flight chunks, never the whole trace.
-        EXPECT_LE(sink.peakBufferedRecords(),
-                  chunk * (options.maxQueuedChunks + 2));
+        // The bounded-memory guarantee: one fill chunk, never the
+        // whole trace.
+        EXPECT_LE(sink.peakBufferedRecords(), chunk);
     }
     {
-        WriteTraceSink sink(csvPath.string(), TraceFormat::Csv,
-                            options);
+        WriteTraceSink sink(csvPath.string(), TraceFormat::Csv, chunk);
         for (const auto &r : records)
             sink.record(r);
         sink.finish();
-        EXPECT_LE(sink.peakBufferedRecords(),
-                  chunk * (options.maxQueuedChunks + 2));
+        EXPECT_LE(sink.peakBufferedRecords(), chunk);
     }
 
     auto slurp = [](const fs::path &p) {
@@ -474,11 +470,8 @@ TEST(TraceStream, ClearRestartsTheOutputFile)
     fs::create_directories(dir);
     fs::path path = dir / "trace.bin";
 
-    TraceStreamOptions options;
-    options.chunkRecords = 16;
     {
-        WriteTraceSink sink(path.string(), TraceFormat::BinaryV2,
-                            options);
+        WriteTraceSink sink(path.string(), TraceFormat::BinaryV2, 16);
         for (const auto &r : ramp)
             sink.record(r);
         // System::run drops ramp records at the measured-window
@@ -496,6 +489,30 @@ TEST(TraceStream, ClearRestartsTheOutputFile)
     EXPECT_EQ(os.str(), serializeV2(measured, 16));
 
     fs::remove_all(dir);
+}
+
+TEST(TraceStream, WriteErrorPanicsOnce)
+{
+    // Every write to /dev/full fails with ENOSPC.
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    auto records = randomRecords(2048, 0x55);
+    {
+        // A chunk larger than the stream buffer fails as it is
+        // written; the destructor must not panic again.
+        WriteTraceSink sink("/dev/full", TraceFormat::BinaryV2, 1024);
+        std::size_t i = 0;
+        EXPECT_THROW(
+            for (; i < records.size(); ++i) sink.record(records[i]),
+            std::logic_error);
+        EXPECT_EQ(i + 1, 1024u);
+    }
+    {
+        // A small trace fails when finish() flushes it.
+        WriteTraceSink sink("/dev/full", TraceFormat::Csv, 1024);
+        sink.record(records.front());
+        EXPECT_THROW(sink.finish(), std::logic_error);
+    }
 }
 
 TEST(TraceSummary, AggregatesMatchHandComputation)
@@ -738,8 +755,6 @@ TEST(TraceAttr, StreamingV3MatchesBufferedBytes)
     auto records = randomAttrRecords(chunk * 5 + 3, 0xAA06);
     fs::path dir = fs::path(::testing::TempDir()) / "ladder_attr";
     fs::create_directories(dir);
-    TraceStreamOptions options;
-    options.chunkRecords = chunk;
     auto slurp = [](const fs::path &p) {
         std::ifstream is(p, std::ios::binary);
         std::ostringstream os;
@@ -749,7 +764,7 @@ TEST(TraceAttr, StreamingV3MatchesBufferedBytes)
     {
         fs::path path = dir / "attr.bin";
         WriteTraceSink sink(path.string(), TraceFormat::BinaryV2,
-                            options, /*attribution=*/true);
+                            chunk, /*attribution=*/true);
         EXPECT_TRUE(sink.attribution());
         for (const auto &r : records)
             sink.record(r);
@@ -759,7 +774,7 @@ TEST(TraceAttr, StreamingV3MatchesBufferedBytes)
     }
     {
         fs::path path = dir / "attr.csv";
-        WriteTraceSink sink(path.string(), TraceFormat::Csv, options,
+        WriteTraceSink sink(path.string(), TraceFormat::Csv, chunk,
                             /*attribution=*/true);
         for (const auto &r : records)
             sink.record(r);
