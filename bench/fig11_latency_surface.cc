@@ -25,7 +25,7 @@ namespace
 {
 
 void
-printSurface(const WriteTimingTable &table, unsigned contentBucket)
+printSurface(const LatencySurface &table, unsigned contentBucket)
 {
     std::printf("%8s", "WL\\BL");
     for (unsigned bb = 0; bb < table.blBuckets(); ++bb)
@@ -64,10 +64,11 @@ try {
 
     std::printf("--- (a) WL data pattern all '0's (C_lrs bucket "
                 "<0-64>) ---\n");
-    printSurface(model.ladder, 0);
+    const LatencySurface &ladder = *model.ladderSurface;
+    printSurface(ladder, 0);
     std::printf("\n--- (b) WL data pattern all '1's (C_lrs bucket "
                 "<448-512>) ---\n");
-    printSurface(model.ladder, model.ladder.contentBuckets() - 1);
+    printSurface(ladder, ladder.contentBuckets() - 1);
 
     std::printf("\npaper reference: (a) tops out near ~300-650 ns at "
                 "the far corner, (b) reaches ~700 ns; both grow "

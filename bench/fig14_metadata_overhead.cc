@@ -52,7 +52,7 @@ try {
     std::vector<ExperimentConfig> variants;
     for (unsigned lowRows : lowRowsSweep) {
         variants.push_back(variantConfig(cfg));
-        variants.back().schemeOptions.hybridLowRows = lowRows;
+        variants.back().system.schemeOptions.hybridLowRows = lowRows;
     }
     std::vector<SimResult> ablation =
         runVariants(SchemeKind::LadderHybrid, "astar", variants);

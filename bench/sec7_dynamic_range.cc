@@ -29,7 +29,7 @@ try {
     const std::vector<SchemeKind> pair = {SchemeKind::Baseline,
                                           SchemeKind::LadderHybrid};
     ExperimentConfig shrunk = variantConfig(cfg);
-    shrunk.rangeShrink = 2.0;
+    shrunk.system.rangeShrink = 2.0;
     Matrix nominal = runMatrixParallel(pair, workloads, cfg);
     Matrix shrunkM = runMatrixParallel(pair, workloads, shrunk);
     double retainedSum = 0.0;
@@ -59,8 +59,8 @@ try {
     std::printf("%12s %12s\n", "granularity", "avg speedup");
     for (unsigned granularity : {4u, 8u, 16u}) {
         ExperimentConfig sweep = variantConfig(cfg);
-        sweep.granularity = granularity;
-        const Matrix m = granularity == cfg.granularity
+        sweep.system.tableGranularity = granularity;
+        const Matrix m = granularity == cfg.system.tableGranularity
                              ? nominal
                              : runMatrixParallel(pair, workloads, sweep);
         double sum = 0.0;

@@ -34,7 +34,7 @@ try {
     std::printf("\npaper reference: update 0.0061/3.71/0.17, query "
                 "0.0047/6.57/0.32, cache 0.2442/48.83/0.81\n");
 
-    ModuleCost tables = timingTableCost(cfg.granularity);
+    ModuleCost tables = timingTableCost(cfg.system.tableGranularity);
     std::printf("\n%-34s %12.4f %12.2f %12.2f\n", tables.name.c_str(),
                 tables.areaMm2, tables.powerMw, tables.latencyNs);
 
@@ -42,7 +42,7 @@ try {
         cachedTimingModel(cfg.system.crossbar);
     std::printf("\ntiming-table on-chip buffer: %zu B (paper: 512 B "
                 "for the 8x8x8 organization)\n",
-                model.ladder.storageBytes());
+                model.ladderSurface->storageBytes());
 
     std::printf("\n=== Section 6.3: LRS-metadata storage overhead "
                 "===\n\n");
@@ -58,7 +58,7 @@ try {
     // A mat shorter than the low-precision band is low-precision
     // throughout.
     const unsigned lowRows =
-        std::min(cfg.schemeOptions.hybridLowRows, geo.matRows);
+        std::min(cfg.system.schemeOptions.hybridLowRows, geo.matRows);
     std::printf("  LADDER-Hybrid  %5.2f%%   (paper 0.97%%, bottom "
                 "%u rows low-precision)\n",
                 layout.hybridOverhead(lowRows) * 100, lowRows);

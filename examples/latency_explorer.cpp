@@ -71,7 +71,7 @@ evaluatePoint(const TimingModel &model, const SneakPathModel &fast,
     cond.blLrsCount = static_cast<unsigned>(model.params.rows);
     ResetEvaluation eval = fast.evaluate(cond);
     double exact = model.law.latencyNs(eval.minDropVolts);
-    const TimingEntry &entry = model.ladder.lookup(wl, bl, count);
+    const TimingEntry &entry = model.ladderSurface->lookup(wl, bl, count);
     std::printf("  wl=%3u bl=%3u C=%3u | Vd=%.3f V | exact %6.1f ns"
                 " | table %6.1f ns | margin %+5.1f ns\n",
                 wl, bl, count, eval.minDropVolts, exact,
@@ -133,7 +133,7 @@ try {
     evaluatePoint(model, fast, wl, bl, count);
     std::printf("\ntiming-table on-chip storage at this granularity: "
                 "%zu B\n",
-                model.ladder.storageBytes());
+                model.ladderSurface->storageBytes());
     return 0;
 } catch (...) {
     return fatalExitCode();

@@ -491,23 +491,26 @@ class ParamRegistry
         json.endObject();
     }
 
-    /** Human-readable listing: name, type, current value, doc. */
+    /**
+     * Human-readable listing: name, type, current value, doc, in
+     * columns padded to a fixed width with at least one space after a
+     * value that overflows its column.
+     */
     void
     help(std::ostream &os, const Owner &current) const
     {
+        auto column = [&os](const std::string &text, std::size_t width) {
+            os << text
+               << std::string(
+                      text.size() < width ? width - text.size() : 1, ' ');
+        };
         for (const auto &entry : params_) {
             const Param &p = entry.second;
-            os << "  " << p.name;
-            for (std::size_t i = p.name.size(); i < 26; ++i)
-                os << ' ';
-            os << p.typeName;
-            for (std::size_t i = p.typeName.size(); i < 8; ++i)
-                os << ' ';
-            std::string value = p.get(current);
-            os << value;
-            for (std::size_t i = value.size(); i < 16; ++i)
-                os << ' ';
-            os << ' ' << p.doc;
+            os << "  ";
+            column(p.name, 26);
+            column(p.typeName, 8);
+            column(p.get(current), 17);
+            os << p.doc;
             if (!p.rangeText.empty())
                 os << ' ' << p.rangeText;
             os << '\n';

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.hh"
-#include "common/profiler.hh"
 
 namespace ladder
 {
@@ -12,16 +12,18 @@ namespace ladder
 namespace
 {
 
-/** The table's WL/BL bucketing: floor division, clamped to the top
- * bucket (identical to WriteTimingTable::lookup). */
+/** WL/BL bucketing: floor division, clamped to the top bucket. */
 inline unsigned
 locationBucket(unsigned index, unsigned buckets, unsigned extent)
 {
     return std::min(index * buckets / extent, buckets - 1);
 }
 
-/** The table's round-up content bucketing (identical to
- * WriteTimingTable::lookup). */
+/**
+ * Content bucketing rounds *up*: a count on a bucket boundary uses the
+ * bucket whose worst-case corner covers it; zero uses bucket 0 and
+ * counts beyond @p contentMax clamp to the top bucket.
+ */
 inline unsigned
 contentBucket(unsigned lrsCount, unsigned buckets, unsigned contentMax)
 {
@@ -32,139 +34,139 @@ contentBucket(unsigned lrsCount, unsigned buckets, unsigned contentMax)
     return std::min(cb, buckets - 1);
 }
 
+/** Worst (largest) content count of content bucket @p cb. */
+inline unsigned
+cornerCount(unsigned cb, unsigned buckets, unsigned contentMax)
+{
+    return (cb + 1) * contentMax / buckets;
+}
+
+/**
+ * The operating point bucket (wb, bb, cb) of @p s is generated at: its
+ * worst (farthest-from-driver) wordline and byte slot and its largest
+ * content count, with the other content dimension worst-cased.
+ */
+ResetCondition
+bucketCorner(const CrossbarParams &params, const LatencySurface &s,
+             unsigned wb, unsigned bb, unsigned cb)
+{
+    const unsigned slots =
+        s.cols() / static_cast<unsigned>(params.selectedCells);
+    const unsigned count =
+        cornerCount(cb, s.contentBuckets(), s.contentMax());
+    ResetCondition cond;
+    cond.wordline = (wb + 1) * s.rows() / s.wlBuckets() - 1;
+    cond.byteOffset = (bb + 1) * slots / s.blBuckets() - 1;
+    if (s.contentDim() == ContentDim::Wordline) {
+        cond.wlLrsCount = count;
+        cond.blLrsCount = s.rows();
+    } else {
+        cond.blLrsCount = count;
+        cond.wlLrsCount = s.cols();
+    }
+    return cond;
+}
+
 } // namespace
 
 LatencySurface
-LatencySurface::fromTable(const WriteTimingTable &table)
+LatencySurface::build(const CrossbarParams &params,
+                      const ResetLatencyLaw &law,
+                      const ResetEvaluator &eval, ContentDim dim,
+                      unsigned wlBuckets, unsigned blBuckets,
+                      unsigned contentBuckets)
 {
-    PROF_SCOPE("latency_surface_build");
-    LatencySurface s;
-    s.rows_ = table.rows();
-    s.cols_ = table.cols();
-    const unsigned wlB = table.wlBuckets();
-    const unsigned blB = table.blBuckets();
-    const unsigned cB = table.contentBuckets();
-    const unsigned contentMax = table.contentMax();
-    ladder_assert(s.rows_ > 0 && s.cols_ > 0 && wlB > 0 && blB > 0 &&
-                      cB > 0,
-                  "latency surface from empty table");
-    s.regions_ = wlB * blB;
-    ladder_assert(static_cast<std::size_t>(wlB) * blB <= 0xffffu,
+    ladder_assert(wlBuckets > 0 && blBuckets > 0 && contentBuckets > 0,
+                  "timing table: zero buckets");
+    ladder_assert(static_cast<std::size_t>(wlBuckets) * blBuckets <=
+                      0xffffu,
                   "latency surface region index overflows u16");
-    s.contentDense_ = cB == 1 ? 1 : contentMax + 1;
+    LatencySurface s;
+    s.rows_ = static_cast<unsigned>(params.rows);
+    s.cols_ = static_cast<unsigned>(params.cols);
+    s.wlBuckets_ = wlBuckets;
+    s.blBuckets_ = blBuckets;
+    s.contentBuckets_ = contentBuckets;
+    s.dim_ = dim;
+    s.contentMax_ = dim == ContentDim::Wordline ? s.cols_ : s.rows_;
+    s.contentDense_ = contentBuckets == 1 ? 1 : s.contentMax_ + 1;
 
+    // One circuit evaluation per bucket, at the bucket's corner.
+    std::vector<TimingEntry> grid(static_cast<std::size_t>(wlBuckets) *
+                                  blBuckets * contentBuckets);
+    double worst = 0.0;
+    double best = std::numeric_limits<double>::max();
+    std::size_t idx = 0;
+    for (unsigned wb = 0; wb < wlBuckets; ++wb) {
+        for (unsigned bb = 0; bb < blBuckets; ++bb) {
+            for (unsigned cb = 0; cb < contentBuckets; ++cb) {
+                ResetEvaluation ev = eval(bucketCorner(params, s, wb, bb, cb));
+                TimingEntry &entry = grid[idx++];
+                entry.latencyNs = law.latencyNs(ev.minDropVolts);
+                entry.powerMw = ev.sourcePowerWatts * 1e3;
+                worst = std::max(worst, entry.latencyNs);
+                best = std::min(best, entry.latencyNs);
+            }
+        }
+    }
+    s.worstNs_ = worst;
+    s.bestNs_ = best;
+
+    // Expand to the dense form: one index per row and per column, and
+    // one entry per LRS count, each its covering bucket's entry.
     s.wlBase_.resize(s.rows_);
     for (unsigned wl = 0; wl < s.rows_; ++wl)
         s.wlBase_[wl] = static_cast<std::uint16_t>(
-            locationBucket(wl, wlB, s.rows_) * blB);
+            locationBucket(wl, wlBuckets, s.rows_) * blBuckets);
     s.blRegion_.resize(s.cols_);
     for (unsigned bl = 0; bl < s.cols_; ++bl)
         s.blRegion_[bl] = static_cast<std::uint16_t>(
-            locationBucket(bl, blB, s.cols_));
-
-    s.entries_.resize(static_cast<std::size_t>(s.regions_) *
-                      s.contentDense_);
-    std::size_t idx = 0;
-    for (unsigned wb = 0; wb < wlB; ++wb) {
-        for (unsigned bb = 0; bb < blB; ++bb) {
-            for (unsigned c = 0; c < s.contentDense_; ++c)
-                s.entries_[idx++] =
-                    table.at(wb, bb, contentBucket(c, cB, contentMax));
-        }
+            locationBucket(bl, blBuckets, s.cols_));
+    const std::size_t regions =
+        static_cast<std::size_t>(wlBuckets) * blBuckets;
+    s.entries_.resize(regions * s.contentDense_);
+    idx = 0;
+    for (std::size_t region = 0; region < regions; ++region) {
+        for (unsigned c = 0; c < s.contentDense_; ++c)
+            s.entries_[idx++] =
+                grid[region * contentBuckets +
+                     contentBucket(c, contentBuckets, s.contentMax_)];
     }
     return s;
 }
 
-SurfaceCheckResult
-LatencySurface::verifyAgainst(const WriteTimingTable &table) const
+const TimingEntry &
+LatencySurface::at(unsigned wlBucket, unsigned blBucket,
+                   unsigned contentBucket) const
 {
-    SurfaceCheckResult r;
-    const unsigned wlB = table.wlBuckets();
-    const unsigned blB = table.blBuckets();
-    const unsigned cB = table.contentBuckets();
-    const unsigned contentMax = table.contentMax();
-    if (rows_ != table.rows() || cols_ != table.cols() ||
-        regions_ != wlB * blB ||
-        contentDense_ != (cB == 1 ? 1u : contentMax + 1)) {
-        r.mismatches = 1;
-        return r;
-    }
-    for (unsigned wl = 0; wl < rows_; ++wl) {
-        ++r.cellsChecked;
-        if (wlBase_[wl] != locationBucket(wl, wlB, rows_) * blB)
-            ++r.mismatches;
-    }
-    for (unsigned bl = 0; bl < cols_; ++bl) {
-        ++r.cellsChecked;
-        if (blRegion_[bl] != locationBucket(bl, blB, cols_))
-            ++r.mismatches;
-    }
-    std::size_t idx = 0;
-    for (unsigned wb = 0; wb < wlB; ++wb) {
-        for (unsigned bb = 0; bb < blB; ++bb) {
-            for (unsigned c = 0; c < contentDense_; ++c, ++idx) {
-                ++r.cellsChecked;
-                const TimingEntry &want =
-                    table.at(wb, bb, contentBucket(c, cB, contentMax));
-                const TimingEntry &got = entries_[idx];
-                // Bit-identical by construction: exact compare.
-                if (got.latencyNs != want.latencyNs ||
-                    got.powerMw != want.powerMw) {
-                    ++r.mismatches;
-                    r.maxAbsErrorNs = std::max(
-                        r.maxAbsErrorNs,
-                        std::abs(got.latencyNs - want.latencyNs));
-                }
-            }
-        }
-    }
-    return r;
-}
-
-std::size_t
-LatencySurface::storageBytes() const
-{
-    return wlBase_.size() * sizeof(std::uint16_t) +
-           blRegion_.size() * sizeof(std::uint16_t) +
-           entries_.size() * sizeof(TimingEntry);
+    ladder_assert(wlBucket < wlBuckets_ && blBucket < blBuckets_ &&
+                      contentBucket < contentBuckets_,
+                  "timing table bucket out of range");
+    const unsigned c = std::min(
+        cornerCount(contentBucket, contentBuckets_, contentMax_),
+        contentDense_ - 1);
+    return entries_[(static_cast<std::size_t>(wlBucket) * blBuckets_ +
+                     blBucket) *
+                        contentDense_ +
+                    c];
 }
 
 SurfaceErrorReport
 checkSurfaceError(const CrossbarParams &params,
-                  const WriteTimingTable &table,
+                  const LatencySurface &surface,
                   const ResetLatencyLaw &law,
                   const ResetEvaluator &reference, double relBudget)
 {
     SurfaceErrorReport rep;
     rep.budget = relBudget;
-    const unsigned rows = table.rows();
-    const unsigned cols = table.cols();
-    const unsigned slots =
-        cols / static_cast<unsigned>(params.selectedCells);
-    const unsigned wlB = table.wlBuckets();
-    const unsigned blB = table.blBuckets();
-    const unsigned cB = table.contentBuckets();
-    const unsigned contentMax = table.contentMax();
     double maxMagnitude = 0.0;
-    for (unsigned wb = 0; wb < wlB; ++wb) {
-        unsigned wl = (wb + 1) * rows / wlB - 1;
-        for (unsigned bb = 0; bb < blB; ++bb) {
-            unsigned slot = (bb + 1) * slots / blB - 1;
-            for (unsigned cb = 0; cb < cB; ++cb) {
-                unsigned count = (cb + 1) * contentMax / cB;
-                ResetCondition cond;
-                cond.wordline = wl;
-                cond.byteOffset = slot;
-                if (table.contentDim() == ContentDim::Wordline) {
-                    cond.wlLrsCount = count;
-                    cond.blLrsCount = rows;
-                } else {
-                    cond.blLrsCount = count;
-                    cond.wlLrsCount = cols;
-                }
-                double refNs =
-                    law.latencyNs(reference(cond).minDropVolts);
-                double tabNs = table.at(wb, bb, cb).latencyNs;
+    for (unsigned wb = 0; wb < surface.wlBuckets(); ++wb) {
+        for (unsigned bb = 0; bb < surface.blBuckets(); ++bb) {
+            for (unsigned cb = 0; cb < surface.contentBuckets(); ++cb) {
+                double refNs = law.latencyNs(
+                    reference(bucketCorner(params, surface, wb, bb, cb))
+                        .minDropVolts);
+                double tabNs = surface.at(wb, bb, cb).latencyNs;
                 ladder_assert(refNs > 0.0,
                               "reference latency must be positive");
                 double rel = (tabNs - refNs) / refNs;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <future>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -15,25 +14,12 @@
 #include "common/log.hh"
 #include "common/profiler.hh"
 #include "common/thread_pool.hh"
-#include "latency_surface.hh"
 
 namespace ladder
 {
 
 namespace
 {
-
-/** Precompute the dense lookup surfaces for a finished model. */
-void
-attachSurfaces(TimingModel &model)
-{
-    model.ladderSurface = std::make_shared<const LatencySurface>(
-        LatencySurface::fromTable(model.ladder));
-    model.blpSurface = std::make_shared<const LatencySurface>(
-        LatencySurface::fromTable(model.blp));
-    model.locationSurface = std::make_shared<const LatencySurface>(
-        LatencySurface::fromTable(model.location));
-}
 
 /** Sets a model's latency law, solving on the model's circuit. */
 using Calibration =
@@ -42,7 +28,7 @@ using Calibration =
 /**
  * The one table builder behind generate() and generateDerived(): the
  * law from @p calibrate, then the LADDER, BLP, location and power
- * tables and their surfaces.
+ * tables.
  *
  * The table solves run in parallel without changing a bit of the
  * result. The public builders run twice: first against an evaluator
@@ -66,15 +52,15 @@ buildModel(const CrossbarParams &params, unsigned granularity,
     calibrate(model, fast);
 
     auto buildTables = [&](const ResetEvaluator &eval) {
-        model.ladder = WriteTimingTable::build(
-            params, model.law, eval, ContentDim::Wordline, granularity,
-            granularity, granularity);
-        model.blp = WriteTimingTable::build(
-            params, model.law, eval, ContentDim::Bitline, granularity,
-            granularity, granularity);
-        model.location = WriteTimingTable::build(
-            params, model.law, eval, ContentDim::Wordline, granularity,
-            granularity, 1);
+        auto table = [&](ContentDim dim, unsigned contentBuckets) {
+            return std::make_shared<const LatencySurface>(
+                LatencySurface::build(params, model.law, eval, dim,
+                                      granularity, granularity,
+                                      contentBuckets));
+        };
+        model.ladderSurface = table(ContentDim::Wordline, granularity);
+        model.blpSurface = table(ContentDim::Bitline, granularity);
+        model.locationSurface = table(ContentDim::Wordline, 1);
         model.power = PowerTable::build(params, eval);
     };
 
@@ -111,7 +97,6 @@ buildModel(const CrossbarParams &params, unsigned granularity,
     });
     for (const ResetEvaluation &ev : results)
         model.solver.note(ev.iterations, ev.converged);
-    attachSurfaces(model);
     return model;
 }
 
@@ -167,120 +152,6 @@ cachedModel(const ModelKey &key)
 }
 
 } // namespace
-
-std::size_t
-WriteTimingTable::index(unsigned wl, unsigned bl, unsigned c) const
-{
-    return (static_cast<std::size_t>(wl) * blBuckets_ + bl) *
-               contentBuckets_ +
-           c;
-}
-
-WriteTimingTable
-WriteTimingTable::build(const CrossbarParams &params,
-                        const ResetLatencyLaw &law,
-                        const ResetEvaluator &eval, ContentDim dim,
-                        unsigned wlBuckets, unsigned blBuckets,
-                        unsigned contentBuckets)
-{
-    ladder_assert(wlBuckets > 0 && blBuckets > 0 && contentBuckets > 0,
-                  "timing table: zero buckets");
-    WriteTimingTable table;
-    table.wlBuckets_ = wlBuckets;
-    table.blBuckets_ = blBuckets;
-    table.contentBuckets_ = contentBuckets;
-    table.rows_ = static_cast<unsigned>(params.rows);
-    table.cols_ = static_cast<unsigned>(params.cols);
-    table.dim_ = dim;
-    table.contentMax_ = dim == ContentDim::Wordline
-                            ? static_cast<unsigned>(params.cols)
-                            : static_cast<unsigned>(params.rows);
-    table.entries_.resize(static_cast<std::size_t>(wlBuckets) *
-                          blBuckets * contentBuckets);
-
-    const unsigned rows = table.rows_;
-    const unsigned cols = table.cols_;
-    const unsigned slots =
-        cols / static_cast<unsigned>(params.selectedCells);
-
-    double worst = 0.0;
-    double best = std::numeric_limits<double>::max();
-    for (unsigned wb = 0; wb < wlBuckets; ++wb) {
-        // Worst (farthest-from-driver) wordline of the bucket.
-        unsigned wl = (wb + 1) * rows / wlBuckets - 1;
-        for (unsigned bb = 0; bb < blBuckets; ++bb) {
-            // Worst byte slot of the bucket.
-            unsigned slot = (bb + 1) * slots / blBuckets - 1;
-            for (unsigned cb = 0; cb < contentBuckets; ++cb) {
-                // Worst (largest) content count of the bucket.
-                unsigned count =
-                    (cb + 1) * table.contentMax_ / contentBuckets;
-                ResetCondition cond;
-                cond.wordline = wl;
-                cond.byteOffset = slot;
-                if (dim == ContentDim::Wordline) {
-                    cond.wlLrsCount = count;
-                    cond.blLrsCount =
-                        static_cast<unsigned>(params.rows);
-                } else {
-                    cond.blLrsCount = count;
-                    cond.wlLrsCount =
-                        static_cast<unsigned>(params.cols);
-                }
-                ResetEvaluation ev = eval(cond);
-                TimingEntry entry;
-                entry.latencyNs = law.latencyNs(ev.minDropVolts);
-                entry.powerMw = ev.sourcePowerWatts * 1e3;
-                table.entries_[table.index(wb, bb, cb)] = entry;
-                worst = std::max(worst, entry.latencyNs);
-                best = std::min(best, entry.latencyNs);
-            }
-        }
-    }
-    table.worstNs_ = worst;
-    table.bestNs_ = best;
-    return table;
-}
-
-const TimingEntry &
-WriteTimingTable::lookup(unsigned wordline, unsigned bitline,
-                         unsigned lrsCount) const
-{
-    ladder_assert(!entries_.empty(), "lookup on empty timing table");
-    unsigned wb = std::min(wordline * wlBuckets_ / rows_,
-                           wlBuckets_ - 1);
-    unsigned bb = std::min(bitline * blBuckets_ / cols_,
-                           blBuckets_ - 1);
-    // Content rounds *up*: a count on a bucket boundary must use the
-    // bucket whose worst-case corner covers it.
-    unsigned cb = 0;
-    if (lrsCount > 0) {
-        unsigned clamped = std::min(lrsCount, contentMax_);
-        cb = (clamped * contentBuckets_ + contentMax_ - 1) /
-                 contentMax_ -
-             1;
-        cb = std::min(cb, contentBuckets_ - 1);
-    }
-    return entries_[index(wb, bb, cb)];
-}
-
-const TimingEntry &
-WriteTimingTable::at(unsigned wlBucket, unsigned blBucket,
-                     unsigned contentBucket) const
-{
-    ladder_assert(wlBucket < wlBuckets_ && blBucket < blBuckets_ &&
-                      contentBucket < contentBuckets_,
-                  "timing table bucket out of range");
-    return entries_[index(wlBucket, blBucket, contentBucket)];
-}
-
-std::size_t
-WriteTimingTable::storageBytes() const
-{
-    // One byte encodes a latency level; the paper reports a 512B buffer
-    // for the 8x8x8 organization.
-    return entries_.size();
-}
 
 PowerTable
 PowerTable::build(const CrossbarParams &params,

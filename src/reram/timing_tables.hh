@@ -1,121 +1,23 @@
 /**
  * @file
- * The write timing tables the memory controller consults to turn a
- * ⟨WL location, BL location, LRS count⟩ tuple into a RESET latency
- * (paper §3.1, §5). The paper's table is logically 8x8x8: each
- * dimension is bucketed at a granularity of 64 for a 512x512 crossbar.
- * Entries are generated from the circuit model at the worst-case corner
- * of each bucket so a table lookup is always sufficient (safe) for any
- * operating point inside the bucket.
- *
- * Two content flavours exist: the LADDER table varies the *wordline*
- * LRS count and worst-cases the bitlines; the BLP table varies the
- * *bitline* LRS count and worst-cases the wordline. A location-only
- * table (both contents worst-cased) serves metadata writes and the
- * location-aware motivation scheme.
+ * The timing model a memory controller needs, generated in one shot
+ * from the fast sneak-path model: the calibrated latency law, the
+ * LADDER, BLP and location-only write timing tables (each one
+ * LatencySurface, see latency_surface.hh) and the content-true power
+ * table, plus the process-wide cache that builds each distinct model
+ * once.
  */
 
 #ifndef LADDER_RERAM_TIMING_TABLES_HH
 #define LADDER_RERAM_TIMING_TABLES_HH
 
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "circuit/cell_model.hh"
-#include "circuit/latency.hh"
-#include "circuit/reset_condition.hh"
-#include "circuit/solvers.hh"
+#include "latency_surface.hh"
 
 namespace ladder
 {
-
-/** Which content dimension a table resolves. */
-enum class ContentDim
-{
-    Wordline, //!< LADDER: per-wordline LRS counts, bitlines worst-cased
-    Bitline,  //!< BLP: per-bitline LRS counts, wordline worst-cased
-};
-
-/** One timing entry: the latency to apply and the array power drawn. */
-struct TimingEntry
-{
-    double latencyNs = 0.0;
-    double powerMw = 0.0;
-};
-
-/** Callable that evaluates the circuit at one operating point. */
-using ResetEvaluator =
-    std::function<ResetEvaluation(const ResetCondition &)>;
-
-/** A bucketed ⟨WL, BL, content⟩ -> latency table. */
-class WriteTimingTable
-{
-  public:
-    WriteTimingTable() = default;
-
-    /**
-     * Generate a table from a circuit evaluator.
-     *
-     * @param params Crossbar parameters (defines index ranges).
-     * @param law Calibrated voltage-drop -> latency law.
-     * @param eval Circuit evaluator (fast model or full MNA).
-     * @param dim Which content dimension the table resolves.
-     * @param wlBuckets/blBuckets/contentBuckets Table granularity
-     *        (8x8x8 in the paper).
-     */
-    static WriteTimingTable build(const CrossbarParams &params,
-                                  const ResetLatencyLaw &law,
-                                  const ResetEvaluator &eval,
-                                  ContentDim dim,
-                                  unsigned wlBuckets = 8,
-                                  unsigned blBuckets = 8,
-                                  unsigned contentBuckets = 8);
-
-    /**
-     * Look up the timing for raw indices: @p wordline in [0, rows),
-     * @p bitline in [0, cols), @p lrsCount in [0, content max].
-     * Indices are bucketed internally (always rounding content up).
-     */
-    const TimingEntry &lookup(unsigned wordline, unsigned bitline,
-                              unsigned lrsCount) const;
-
-    /** Largest latency in the table (the safe fixed latency). */
-    double worstLatencyNs() const { return worstNs_; }
-    /** Smallest latency in the table. */
-    double bestLatencyNs() const { return bestNs_; }
-
-    unsigned wlBuckets() const { return wlBuckets_; }
-    unsigned blBuckets() const { return blBuckets_; }
-    unsigned contentBuckets() const { return contentBuckets_; }
-    ContentDim contentDim() const { return dim_; }
-    unsigned rows() const { return rows_; }
-    unsigned cols() const { return cols_; }
-    /** Largest raw content count (cols for WL tables, rows for BL). */
-    unsigned contentMax() const { return contentMax_; }
-
-    /** Direct bucket access (for dumping the Fig. 11 surfaces). */
-    const TimingEntry &at(unsigned wlBucket, unsigned blBucket,
-                          unsigned contentBucket) const;
-
-    /** On-chip storage footprint of the latency values, in bytes. */
-    std::size_t storageBytes() const;
-
-  private:
-    unsigned wlBuckets_ = 0;
-    unsigned blBuckets_ = 0;
-    unsigned contentBuckets_ = 0;
-    unsigned rows_ = 0;
-    unsigned cols_ = 0;
-    unsigned contentMax_ = 0;
-    ContentDim dim_ = ContentDim::Wordline;
-    double worstNs_ = 0.0;
-    double bestNs_ = 0.0;
-    std::vector<TimingEntry> entries_;
-
-    std::size_t index(unsigned wl, unsigned bl, unsigned c) const;
-};
 
 /**
  * Scheme-independent array power model: a 4-D
@@ -147,33 +49,27 @@ class PowerTable
 };
 
 /**
- * The full timing-model bundle a controller needs, generated in one
- * shot from the fast sneak-path model: calibrated law, the LADDER and
- * BLP tables, and a location-only table.
+ * The full timing-model bundle a controller needs: calibrated law,
+ * the LADDER and BLP tables, and a location-only table.
  */
-class LatencySurface;
-
 struct TimingModel
 {
     CrossbarParams params;
     ResetLatencyLaw law;
-    WriteTimingTable ladder;   //!< WL-content resolved
-    WriteTimingTable blp;      //!< BL-content resolved
-    WriteTimingTable location; //!< content worst-cased (1 bucket)
-    PowerTable power;          //!< content-true power (energy model)
+    PowerTable power; //!< content-true power (energy model)
     double bestDropVolts = 0.0;
     double worstDropVolts = 0.0;
     /** Every circuit solve this model's build ran (stats.json). */
     SolverCounters solver;
 
     /**
-     * Dense O(1) surfaces precomputed from the three tables (see
-     * latency_surface.hh) — bit-identical to table lookups by
-     * construction. Shared pointers keep TimingModel copyable without
-     * duplicating the dense state; always non-null after generate().
+     * The three timing tables. Shared pointers keep TimingModel
+     * copyable without duplicating the dense state; always non-null
+     * after generate().
      */
-    std::shared_ptr<const LatencySurface> ladderSurface;
-    std::shared_ptr<const LatencySurface> blpSurface;
+    std::shared_ptr<const LatencySurface> ladderSurface; //!< WL content
+    std::shared_ptr<const LatencySurface> blpSurface;    //!< BL content
+    /** Content worst-cased (one content bucket). */
     std::shared_ptr<const LatencySurface> locationSurface;
 
     /**
@@ -199,9 +95,9 @@ struct TimingModel
                                        unsigned granularity = 8);
 
     /** Worst-case fixed write latency (the baseline's tWR). */
-    double worstLatencyNs() const { return location.worstLatencyNs(); }
+    double worstLatencyNs() const { return locationSurface->worstLatencyNs(); }
     /** Buckets per dimension the tables were built with. */
-    unsigned granularity() const { return ladder.wlBuckets(); }
+    unsigned granularity() const { return ladderSurface->wlBuckets(); }
 };
 
 /**

@@ -53,7 +53,7 @@ LadderBasicScheme::attributeWrite(const MemoryController &ctrl,
     // slack to account for.
     const TimingEntry &bestContent = ctrl.ladderTiming(
         entry.loc.wordline, entry.loc.worstBitline(), 0);
-    return {ctrl.timing().ladder.bestLatencyNs(),
+    return {ctrl.timing().ladderSurface->bestLatencyNs(),
             bestContent.latencyNs, decision.latencyNs};
 }
 
@@ -192,7 +192,7 @@ LadderEstScheme::attributeWrite(const MemoryController &ctrl,
     // by LADDER-Hybrid.
     const TimingEntry &bestContent = ctrl.ladderTiming(
         entry.loc.wordline, entry.loc.worstBitline(), 0);
-    return {ctrl.timing().ladder.bestLatencyNs(),
+    return {ctrl.timing().ladderSurface->bestLatencyNs(),
             bestContent.latencyNs, decision.latencyNs};
 }
 

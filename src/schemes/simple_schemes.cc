@@ -9,7 +9,7 @@ BaselineScheme::decideWrite(MemoryController &ctrl, WriteEntry &entry,
 {
     (void)entry;
     (void)finalData;
-    const WriteTimingTable &table = ctrl.timing().location;
+    const LatencySurface &table = *ctrl.timing().locationSurface;
     // The pessimistic fixed latency: the far corner of the table.
     const TimingEntry &worst =
         table.at(table.wlBuckets() - 1, table.blBuckets() - 1, 0);
@@ -34,7 +34,7 @@ LocationScheme::attributeWrite(const MemoryController &ctrl,
     (void)entry;
     // Content-oblivious: the whole increment over the table's best
     // corner is location blame; content and scheme overhead are zero.
-    return {ctrl.timing().location.bestLatencyNs(),
+    return {ctrl.timing().locationSurface->bestLatencyNs(),
             decision.latencyNs, decision.latencyNs};
 }
 
@@ -58,7 +58,7 @@ OracleScheme::attributeWrite(const MemoryController &ctrl,
     // one extra surface/table lookup, only on the attribution path.
     const TimingEntry &bestContent = ctrl.ladderTiming(
         entry.loc.wordline, entry.loc.worstBitline(), 0);
-    return {ctrl.timing().ladder.bestLatencyNs(),
+    return {ctrl.timing().ladderSurface->bestLatencyNs(),
             bestContent.latencyNs, decision.latencyNs};
 }
 
@@ -80,7 +80,7 @@ BlpScheme::attributeWrite(const MemoryController &ctrl,
 {
     const TimingEntry &bestContent = ctrl.blpTiming(
         entry.loc.wordline, entry.loc.worstBitline(), 0);
-    return {ctrl.timing().blp.bestLatencyNs(),
+    return {ctrl.timing().blpSurface->bestLatencyNs(),
             bestContent.latencyNs, decision.latencyNs};
 }
 

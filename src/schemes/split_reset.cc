@@ -62,7 +62,7 @@ SplitResetScheme::attributeWrite(const MemoryController &ctrl,
     double singlePhaseNs =
         phase.latencyNs < decision.latencyNs ? phase.latencyNs
                                              : decision.latencyNs;
-    return {halfModel_.location.bestLatencyNs(), singlePhaseNs,
+    return {halfModel_.locationSurface->bestLatencyNs(), singlePhaseNs,
             singlePhaseNs};
 }
 

@@ -140,17 +140,17 @@ registerExperimentParams(Registry &reg)
     reg.addDouble("cache-scale", LADDER_FIELD(cacheScale),
                   "Scale factor on L2/L3 capacities and working sets",
                   1e-3, 16.0);
-    reg.addDouble("range-shrink", LADDER_FIELD(rangeShrink),
+    reg.addDouble("range-shrink", LADDER_FIELD(system.rangeShrink),
                   "RESET-latency dynamic-range shrink factor (§7 "
                   "process-variation ablation)",
                   1e-3, 1e3);
     reg.addInt<unsigned>(
-        "granularity", LADDER_FIELD(granularity),
+        "granularity", LADDER_FIELD(system.tableGranularity),
         "Counter/table granularity: WL/BL buckets per timing table "
         "axis",
         1, 64);
     reg.addEnum<FnwMode>(
-        "fnw-mode", LADDER_FIELD(fnwMode),
+        "fnw-mode", LADDER_FIELD(system.controller.fnwMode),
         "Flip-N-Write mode applied by the controllers",
         {{"off", FnwMode::Off},
          {"classical", FnwMode::Classical},
@@ -189,7 +189,7 @@ registerExperimentParams(Registry &reg)
         "Records per streamed/bin2 trace chunk", 1,
         std::uint64_t(1) << 30);
     reg.addInt<std::uint64_t>(
-        "epoch-cycles", LADDER_FIELD(epochCycles),
+        "epoch-cycles", LADDER_FIELD(system.epochCycles),
         "Core cycles per epoch stat snapshot (0 = no epoch series)");
     reg.addBool("volatile-manifest", LADDER_FIELD(volatileManifest),
                 "Include wall clock and job count in JSON manifests "
@@ -235,7 +235,7 @@ registerExperimentParams(Registry &reg)
     // ---------------------------------------------------------------
     reg.addInt<unsigned>(
         "scheme.hybrid-low-rows",
-        LADDER_FIELD(schemeOptions.hybridLowRows),
+        LADDER_FIELD(system.schemeOptions.hybridLowRows),
         "LADDER-Hybrid: wordlines nearest the write driver that keep "
         "1-bit counters (0 = none: every row keeps LADDER-Est's "
         "2-bit counters)",
@@ -461,8 +461,10 @@ registerExperimentParams(Registry &reg)
     reg.addChoice("extern.content",
                   LADDER_FIELD(system.frontend.externContent),
                   "Write-content synthesis for payload-less traces: "
-                  "typed pattern words or recorded-LRS popcounts",
-                  {"auto", "pattern", "lrs"});
+                  "recorded-LRS popcounts where a record has an LRS "
+                  "count, else typed pattern words ('auto'), or "
+                  "always pattern words",
+                  {"auto", "pattern"});
 
     // ---------------------------------------------------------------
     // Wear policy

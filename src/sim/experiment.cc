@@ -69,13 +69,8 @@ makeSystemConfig(SchemeKind scheme, const std::string &workload,
     // per-cell fields below overwrite whatever the template held.
     SystemConfig sys = config.system;
     sys.scheme = scheme;
-    sys.schemeOptions = config.schemeOptions;
-    sys.tableGranularity = config.granularity;
-    sys.rangeShrink = config.rangeShrink;
     sys.workloads = workloadPrograms(workload);
     sys.seed = config.seed;
-    sys.controller.fnwMode = config.fnwMode;
-    sys.epochCycles = config.epochCycles;
     // xbar.rows is the one key for a mat's wordlines: the address map
     // places pages on exactly the rows the timing surface covers.
     sys.geometry.matRows = static_cast<unsigned>(sys.crossbar.rows);

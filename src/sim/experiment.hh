@@ -52,17 +52,13 @@ struct ExperimentConfig
 {
     std::uint64_t warmupInstr = 1'500'000;
     std::uint64_t measureInstr = 400'000;
-    unsigned granularity = 8;
-    double rangeShrink = 1.0;
     std::uint64_t seed = 1;
-    FnwMode fnwMode = FnwMode::Classical;
-    SchemeOptions schemeOptions{};
     /**
      * Template for every per-cell SystemConfig built by
-     * makeSystemConfig: geometry, crossbar, controller, cache, and
-     * core parameters set here (e.g. from a config file) reach every
-     * run of the sweep. Per-cell fields (scheme, workloads, seed,
-     * epochCycles, ...) are overwritten per run.
+     * makeSystemConfig: geometry, crossbar, controller, cache, core,
+     * timing-table and scheme parameters set here (e.g. from a config
+     * file) reach every run of the sweep. The per-cell fields (scheme,
+     * workloads, seed, ...) are overwritten per run.
      */
     SystemConfig system{};
     /** Wear-leveling policy knobs (§6.4 benches and demos). */
@@ -109,8 +105,6 @@ struct ExperimentConfig
     bool traceStream = false;
     /** Records per chunk for streaming and the "bin2" format. */
     std::uint64_t traceChunkRecords = 64 * 1024;
-    /** Core cycles per stat snapshot (0 = no epoch series). */
-    std::uint64_t epochCycles = 0;
     /**
      * Include volatile manifest fields (wall clock, job count) in the
      * JSON outputs. Off by default so identical configs produce

@@ -152,10 +152,10 @@ makeRunManifest(SchemeKind scheme, const std::string &workload,
     m.seed = config.seed;
     m.warmupInstr = config.warmupInstr;
     m.measureInstr = config.measureInstr;
-    m.granularity = config.granularity;
-    m.rangeShrink = config.rangeShrink;
+    m.granularity = config.system.tableGranularity;
+    m.rangeShrink = config.system.rangeShrink;
     m.cacheScale = config.cacheScale;
-    m.epochCycles = config.epochCycles;
+    m.epochCycles = config.system.epochCycles;
     m.gitDescribe = gitDescribeString();
     if (isTraceWorkload(workload)) {
         auto trace = externTraceInfoFor(workload);
@@ -268,9 +268,9 @@ exportRun(const ExperimentConfig &config, SchemeKind scheme,
         for (const StatGroup &group : system.statGroups())
             group.dumpJson(json);
         json.endArray();
-        if (config.epochCycles > 0) {
+        if (config.system.epochCycles > 0) {
             json.key("epochs");
-            writeEpochsJson(json, system, config.epochCycles);
+            writeEpochsJson(json, system, config.system.epochCycles);
         }
         json.key("solver");
         writeSolverJson(json, system.solverEffort());
@@ -330,10 +330,10 @@ exportSweep(const ExperimentConfig &config, const Matrix &matrix)
     json.field("seed", config.seed);
     json.field("warmup_instr", config.warmupInstr);
     json.field("measure_instr", config.measureInstr);
-    json.field("granularity", config.granularity);
-    json.field("range_shrink", config.rangeShrink);
+    json.field("granularity", config.system.tableGranularity);
+    json.field("range_shrink", config.system.rangeShrink);
     json.field("cache_scale", config.cacheScale);
-    json.field("epoch_cycles", config.epochCycles);
+    json.field("epoch_cycles", config.system.epochCycles);
     json.field("git_describe", gitDescribeString());
     if (config.volatileManifest) {
         json.field("wall_clock_utc", utcNow());

@@ -34,10 +34,8 @@ externContentModeFromName(const std::string &name)
         return ExternContentMode::Auto;
     if (name == "pattern")
         return ExternContentMode::Pattern;
-    if (name == "lrs")
-        return ExternContentMode::Lrs;
     fatal("unknown external content mode '%s' (expected "
-          "auto/pattern/lrs)",
+          "auto/pattern)",
           name.c_str());
 }
 
@@ -278,11 +276,8 @@ ExternalTraceSource::records() const
 std::array<std::uint8_t, 8>
 ExternalTraceSource::synthesizeWord(const ExternRecord &r)
 {
-    ExternContentMode mode = options_.content;
-    if (mode == ExternContentMode::Auto)
-        mode = r.lrsCount != 0xffff ? ExternContentMode::Lrs
-                                    : ExternContentMode::Pattern;
-    if (mode == ExternContentMode::Pattern || r.lrsCount == 0xffff)
+    if (options_.content == ExternContentMode::Pattern ||
+        r.lrsCount == 0xffff)
         return pattern_.generateWord(rng_);
     // Reconstruct a word whose popcount tracks the recorded per-write
     // LRS count (0..512 across the wordline -> 0..64 bits per word),

@@ -86,9 +86,10 @@ loadExternTrace(const std::string &path);
 /** Content-synthesis policy for payload-less trace formats. */
 enum class ExternContentMode
 {
-    Auto,    //!< Lrs when the trace records LRS counts, else Pattern
+    /** Words whose popcount tracks the record's LRS count when the
+     * trace records one, else Pattern. */
+    Auto,
     Pattern, //!< typed words from the data-pattern model
-    Lrs,     //!< words whose popcount tracks the recorded LRS count
 };
 
 ExternContentMode externContentModeFromName(const std::string &name);

@@ -50,20 +50,31 @@ struct WorkloadParams
     std::uint64_t seed = 1;
 };
 
+/** Anything that produces TraceRecords. */
+class TraceSource
+{
+  public:
+    virtual ~TraceSource() = default;
+    /** Next record; traces never end (replay loops if finite). */
+    virtual TraceRecord next() = 0;
+    /** Region footprint in bytes. */
+    virtual std::uint64_t footprintBytes() const = 0;
+};
+
 /** Deterministic generator of TraceRecords. */
-class SyntheticTrace
+class SyntheticTrace final : public TraceSource
 {
   public:
     explicit SyntheticTrace(const WorkloadParams &params);
 
     /** Next record (never ends). */
-    TraceRecord next();
+    TraceRecord next() override;
 
     const WorkloadParams &params() const { return params_; }
 
     /** Region footprint in bytes (for placing cores side by side). */
     std::uint64_t
-    footprintBytes() const
+    footprintBytes() const override
     {
         return params_.workingSetPages *
                static_cast<std::uint64_t>(4096);
@@ -80,37 +91,6 @@ class SyntheticTrace
 
     std::uint64_t linesInSet() const;
     Addr pickAddress(bool &dependent, bool &isWrite);
-};
-
-/** Anything that produces TraceRecords. */
-class TraceSource
-{
-  public:
-    virtual ~TraceSource() = default;
-    /** Next record; traces never end (replay loops if finite). */
-    virtual TraceRecord next() = 0;
-    /** Region footprint in bytes. */
-    virtual std::uint64_t footprintBytes() const = 0;
-};
-
-/** Adapter: SyntheticTrace behind the TraceSource interface. */
-class SyntheticSource : public TraceSource
-{
-  public:
-    explicit SyntheticSource(const WorkloadParams &params)
-        : trace_(params)
-    {
-    }
-
-    TraceRecord next() override { return trace_.next(); }
-    std::uint64_t
-    footprintBytes() const override
-    {
-        return trace_.footprintBytes();
-    }
-
-  private:
-    SyntheticTrace trace_;
 };
 
 } // namespace ladder

@@ -111,7 +111,7 @@ makeWorkloadInstance(const std::string &name, std::uint64_t seedSalt,
     }
 
     WorkloadParams params = workloadByName(name, seedSalt, scale);
-    inst.source = std::make_unique<SyntheticSource>(params);
+    inst.source = std::make_unique<SyntheticTrace>(params);
     inst.firstTouch = params.pattern;
     inst.seed = params.seed;
     return inst;

@@ -39,7 +39,7 @@ namespace ladder
 struct WorkloadFrontendOptions
 {
     std::uint64_t externFootprintPages = 1024;
-    std::string externContent = "auto"; //!< auto | pattern | lrs
+    std::string externContent = "auto"; //!< auto | pattern
 };
 
 /** Whether @p name selects external replay (`trace:<path>`). */

@@ -27,9 +27,9 @@ TEST(Experiment, WorkloadProgramsForMixes)
 TEST(Experiment, MakeSystemConfigWiresParameters)
 {
     ExperimentConfig cfg;
-    cfg.granularity = 4;
-    cfg.rangeShrink = 2.0;
-    cfg.fnwMode = FnwMode::Off;
+    cfg.system.tableGranularity = 4;
+    cfg.system.rangeShrink = 2.0;
+    cfg.system.controller.fnwMode = FnwMode::Off;
     SystemConfig sys =
         makeSystemConfig(SchemeKind::LadderHybrid, "mix-2", cfg);
     EXPECT_EQ(sys.scheme, SchemeKind::LadderHybrid);
@@ -55,7 +55,7 @@ TEST(Experiment, DefaultConfigSane)
     ExperimentConfig cfg = defaultExperimentConfig();
     EXPECT_GT(cfg.warmupInstr, 0u);
     EXPECT_GT(cfg.measureInstr, 0u);
-    EXPECT_EQ(cfg.granularity, 8u);
+    EXPECT_EQ(cfg.system.tableGranularity, 8u);
 }
 
 TEST(Experiment, PaperScaleRestoresFullSizes)

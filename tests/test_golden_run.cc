@@ -67,7 +67,7 @@ goldenConfig(const fs::path &outDir)
     cfg.warmupInstr = 60'000;
     cfg.measureInstr = 20'000;
     cfg.cacheScale = 1.0 / 16.0;
-    cfg.epochCycles = 10'000;
+    cfg.system.epochCycles = 10'000;
     cfg.statsJsonDir = (outDir / "stats").string();
     cfg.traceOutDir = (outDir / "trace").string();
     cfg.traceFormat = "bin2";

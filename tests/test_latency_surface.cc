@@ -1,13 +1,13 @@
 /**
  * @file
- * Contract tests for the precomputed O(1) latency surfaces
- * (reram/latency_surface.hh) — the headline gate for swapping table
- * lookups out of the controller hot path.
+ * Contract tests for the write timing tables in their dense O(1) form
+ * (reram/latency_surface.hh), the form the controller reads on every
+ * write.
  *
  * Three layers of evidence, from cheap-and-exact to physical:
- *   1. Bit-identity: every surface cell and index-map entry equals
- *      what the WriteTimingTable's bucket formulas would produce
- *      (verifyAgainst + dense raw-index sweeps + boundary cases).
+ *   1. Bucketing: lookup at every raw (wordline, bitline, LRS count)
+ *      returns the entry of the bucket that covers it, by the bucket
+ *      formulas written out below, plus the boundary cases.
  *   2. Generator differential: re-evaluating the fast sneak-path
  *      model at every bucket corner reproduces every table cell with
  *      exactly zero relative error (checkSurfaceError, budget 0).
@@ -20,8 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
-#include <random>
+#include <utility>
 #include <vector>
 
 #include "circuit/fastmodel.hh"
@@ -56,102 +57,108 @@ fastEvaluator(const SneakPathModel &fast)
     return [&fast](const ResetCondition &c) { return fast.evaluate(c); };
 }
 
-TEST(LatencySurface, AttachedAndBitIdentical)
+/** The three tables of @p m, named for failure messages. */
+std::vector<std::pair<const char *, const LatencySurface *>>
+tables(const TimingModel &m)
 {
-    const TimingModel &m = model();
-    ASSERT_NE(m.ladderSurface, nullptr);
-    ASSERT_NE(m.blpSurface, nullptr);
-    ASSERT_NE(m.locationSurface, nullptr);
-
-    SurfaceCheckResult ladder = m.ladderSurface->verifyAgainst(m.ladder);
-    EXPECT_TRUE(ladder.ok());
-    EXPECT_GT(ladder.cellsChecked, 0u);
-    EXPECT_EQ(ladder.mismatches, 0u);
-    EXPECT_EQ(ladder.maxAbsErrorNs, 0.0);
-
-    EXPECT_TRUE(m.blpSurface->verifyAgainst(m.blp).ok());
-    EXPECT_TRUE(m.locationSurface->verifyAgainst(m.location).ok());
+    return {{"ladder", m.ladderSurface.get()},
+            {"blp", m.blpSurface.get()},
+            {"location", m.locationSurface.get()}};
 }
 
-TEST(LatencySurface, ShapeMatchesTable)
+/**
+ * Lookup at every raw (wordline, bitline, LRS count), counts one past
+ * the maximum included, equals at() of the bucket covering it:
+ * wordline and bitline buckets by floor division clamped to the top
+ * bucket, the content bucket rounded up (0 stays in bucket 0, counts
+ * beyond the maximum clamp to the top bucket).
+ */
+void
+expectLookupMatchesBuckets(const LatencySurface &s, const char *what)
 {
-    const TimingModel &m = model();
-    const LatencySurface &s = *m.ladderSurface;
-    EXPECT_EQ(s.rows(), m.ladder.rows());
-    EXPECT_EQ(s.cols(), m.ladder.cols());
-    EXPECT_EQ(s.regionCount(),
-              m.ladder.wlBuckets() * m.ladder.blBuckets());
-    // Dense content axis: one entry per possible LRS count (0..max).
-    EXPECT_EQ(s.contentDense(), m.ladder.contentMax() + 1);
-    EXPECT_EQ(s.entryCount(),
-              static_cast<std::size_t>(s.regionCount()) *
-                  s.contentDense());
-    EXPECT_GT(s.storageBytes(), 0u);
-    // The location table has a single content bucket, so its surface
-    // collapses the content axis entirely.
-    EXPECT_EQ(m.locationSurface->contentDense(), 1u);
-}
-
-TEST(LatencySurface, MatchesTableOnDenseSweeps)
-{
-    const TimingModel &m = model();
-    const unsigned rows = m.ladder.rows();
-    const unsigned cols = m.ladder.cols();
-    const unsigned cmax = m.ladder.contentMax();
-    // Full (bitline x content) grid at corner + middle wordlines.
-    for (unsigned wl : {0u, rows / 2, rows - 1}) {
-        for (unsigned bl = 0; bl < cols; ++bl) {
-            for (unsigned c = 0; c <= cmax; ++c) {
-                const TimingEntry &tab = m.ladder.lookup(wl, bl, c);
-                const TimingEntry &sur =
-                    m.ladderSurface->lookup(wl, bl, c);
-                ASSERT_EQ(sur.latencyNs, tab.latencyNs)
-                    << "wl " << wl << " bl " << bl << " c " << c;
-                ASSERT_EQ(sur.powerMw, tab.powerMw);
-            }
-        }
+    const unsigned rows = s.rows();
+    const unsigned cols = s.cols();
+    const unsigned wlB = s.wlBuckets();
+    const unsigned blB = s.blBuckets();
+    const unsigned cB = s.contentBuckets();
+    const unsigned cmax = s.contentMax();
+    // The content bucket of every count, one past the maximum included.
+    std::vector<unsigned> cbOf(cmax + 2);
+    for (unsigned c = 0; c < cbOf.size(); ++c) {
+        const unsigned clamped = std::min(c, cmax);
+        cbOf[c] = clamped == 0
+                      ? 0
+                      : std::min((clamped * cB + cmax - 1) / cmax - 1,
+                                 cB - 1);
     }
-    // Full wordline sweep at bitline/content corners.
+    std::vector<const TimingEntry *> bucket(cB);
+    std::size_t checked = 0;
+    std::size_t mismatches = 0;
     for (unsigned wl = 0; wl < rows; ++wl) {
-        for (unsigned bl : {0u, cols - 1}) {
-            for (unsigned c : {0u, 1u, cmax / 2, cmax}) {
-                EXPECT_EQ(m.ladderSurface->lookup(wl, bl, c).latencyNs,
-                          m.ladder.lookup(wl, bl, c).latencyNs);
+        const unsigned wb = std::min(wl * wlB / rows, wlB - 1);
+        for (unsigned bl = 0; bl < cols; ++bl) {
+            const unsigned bb = std::min(bl * blB / cols, blB - 1);
+            for (unsigned cb = 0; cb < cB; ++cb)
+                bucket[cb] = &s.at(wb, bb, cb);
+            for (unsigned c = 0; c < cbOf.size(); ++c) {
+                const TimingEntry &got = s.lookup(wl, bl, c);
+                const TimingEntry &want = *bucket[cbOf[c]];
+                ++checked;
+                if (got.latencyNs != want.latencyNs ||
+                    got.powerMw != want.powerMw) {
+                    if (mismatches++ == 0)
+                        ADD_FAILURE() << what << ": first mismatch at wl "
+                                      << wl << " bl " << bl << " c " << c;
+                }
             }
         }
     }
+    EXPECT_EQ(checked, static_cast<std::size_t>(rows) * cols * (cmax + 2))
+        << what;
+    EXPECT_EQ(mismatches, 0u) << what;
 }
 
-TEST(LatencySurface, MatchesTableOnRandomTriples)
+TEST(LatencySurface, LookupIsCoveringBucketEverywhere)
 {
     const TimingModel &m = model();
-    std::mt19937 rng(20260809);
-    std::uniform_int_distribution<unsigned> wlD(0, m.ladder.rows() - 1);
-    std::uniform_int_distribution<unsigned> blD(0, m.ladder.cols() - 1);
-    // Deliberately overshoot contentMax to exercise clamping.
-    std::uniform_int_distribution<unsigned> cD(
-        0, m.ladder.contentMax() * 2);
-    for (int i = 0; i < 50000; ++i) {
-        unsigned wl = wlD(rng), bl = blD(rng), c = cD(rng);
-        ASSERT_EQ(m.ladderSurface->lookup(wl, bl, c).latencyNs,
-                  m.ladder.lookup(wl, bl, c).latencyNs)
-            << "wl " << wl << " bl " << bl << " c " << c;
-        ASSERT_EQ(m.blpSurface->lookup(wl, bl, c).latencyNs,
-                  m.blp.lookup(wl, bl, c).latencyNs);
-        ASSERT_EQ(m.locationSurface->lookup(wl, bl, c).latencyNs,
-                  m.location.lookup(wl, bl, c).latencyNs);
+    for (const auto &[what, s] : tables(m)) {
+        ASSERT_NE(s, nullptr) << what;
+        expectLookupMatchesBuckets(*s, what);
     }
+}
+
+TEST(LatencySurface, Shape)
+{
+    const TimingModel &m = model();
+    const unsigned rows = static_cast<unsigned>(m.params.rows);
+    const unsigned cols = static_cast<unsigned>(m.params.cols);
+    for (const auto &[what, s] : tables(m)) {
+        EXPECT_EQ(s->rows(), rows) << what;
+        EXPECT_EQ(s->cols(), cols) << what;
+        EXPECT_EQ(s->wlBuckets(), 8u) << what;
+        EXPECT_EQ(s->blBuckets(), 8u) << what;
+    }
+    // LADDER resolves wordline content, BLP bitline content, and the
+    // location table collapses the content axis to one bucket.
+    EXPECT_EQ(m.ladderSurface->contentDim(), ContentDim::Wordline);
+    EXPECT_EQ(m.ladderSurface->contentMax(), cols);
+    EXPECT_EQ(m.ladderSurface->contentBuckets(), 8u);
+    EXPECT_EQ(m.blpSurface->contentDim(), ContentDim::Bitline);
+    EXPECT_EQ(m.blpSurface->contentMax(), rows);
+    EXPECT_EQ(m.blpSurface->contentBuckets(), 8u);
+    EXPECT_EQ(m.locationSurface->contentBuckets(), 1u);
+    EXPECT_EQ(m.locationSurface->storageBytes(), 64u);
 }
 
 TEST(LatencySurface, BoundaryCases)
 {
     const TimingModel &m = model();
     const LatencySurface &s = *m.ladderSurface;
-    const unsigned rows = m.ladder.rows();
-    const unsigned cols = m.ladder.cols();
-    const unsigned cmax = m.ladder.contentMax();
-    const unsigned wlB = m.ladder.wlBuckets();
-    const unsigned blB = m.ladder.blBuckets();
+    const unsigned rows = s.rows();
+    const unsigned cols = s.cols();
+    const unsigned cmax = s.contentMax();
+    const unsigned wlB = s.wlBuckets();
+    const unsigned blB = s.blBuckets();
 
     // LRS = 0 at every location corner lands in content bucket 0.
     for (unsigned wl : {0u, rows - 1}) {
@@ -159,22 +166,21 @@ TEST(LatencySurface, BoundaryCases)
             unsigned wb = wl == 0 ? 0 : wlB - 1;
             unsigned bb = bl == 0 ? 0 : blB - 1;
             EXPECT_EQ(s.lookup(wl, bl, 0).latencyNs,
-                      m.ladder.at(wb, bb, 0).latencyNs);
+                      s.at(wb, bb, 0).latencyNs);
             // LRS = max lands in the last bucket.
             EXPECT_EQ(s.lookup(wl, bl, cmax).latencyNs,
-                      m.ladder.at(wb, bb, m.ladder.contentBuckets() - 1)
+                      s.at(wb, bb, s.contentBuckets() - 1)
                           .latencyNs);
         }
     }
 
-    // Content rounds up exactly like the table: 64 LRS cells stay in
-    // bucket 0, 65 tip into bucket 1 (mirrors
-    // TimingTable.ContentRoundsUp).
-    unsigned step = cmax / m.ladder.contentBuckets();
+    // Content rounds up: 64 LRS cells stay in bucket 0, 65 tip into
+    // bucket 1 (mirrors TimingTable.ContentRoundsUp).
+    unsigned step = cmax / s.contentBuckets();
     EXPECT_EQ(s.lookup(rows - 1, cols - 1, step).latencyNs,
-              m.ladder.at(wlB - 1, blB - 1, 0).latencyNs);
+              s.at(wlB - 1, blB - 1, 0).latencyNs);
     EXPECT_EQ(s.lookup(rows - 1, cols - 1, step + 1).latencyNs,
-              m.ladder.at(wlB - 1, blB - 1, 1).latencyNs);
+              s.at(wlB - 1, blB - 1, 1).latencyNs);
 
     // Counts beyond the physical maximum clamp to the top bucket.
     EXPECT_EQ(s.lookup(rows - 1, cols - 1, 100000).latencyNs,
@@ -185,30 +191,17 @@ TEST(LatencySurface, BoundaryCases)
               m.locationSurface->lookup(3, 7, cmax).latencyNs);
 }
 
-TEST(LatencySurface, VerifyDetectsTableDrift)
-{
-    const TimingModel &m = model();
-    // A surface built from the LADDER table must not verify against
-    // the BLP table (same shape, different physics)...
-    SurfaceCheckResult drift = m.ladderSurface->verifyAgainst(m.blp);
-    EXPECT_FALSE(drift.ok());
-    EXPECT_GT(drift.mismatches, 0u);
-    EXPECT_GT(drift.maxAbsErrorNs, 0.0);
-    // ...nor against a table with a different shape.
-    EXPECT_FALSE(m.ladderSurface->verifyAgainst(m.location).ok());
-}
-
 TEST(LatencySurface, GeneratingEvaluatorReproducesEveryCellExactly)
 {
     // checkSurfaceError with the generating fast model as reference
-    // must find zero error at *every* bucket corner — the surface (and
-    // table) is a pure cache of these evaluations. Budget 0: any
-    // nonzero relative error is a violation.
+    // must find zero error at *every* bucket corner — the table is a
+    // pure cache of these evaluations. Budget 0: any nonzero relative
+    // error is a violation.
     const TimingModel &m = model();
     SneakPathModel fast(m.params);
     ResetEvaluator eval = fastEvaluator(fast);
-    for (const WriteTimingTable *t :
-         {&m.ladder, &m.blp, &m.location}) {
+    for (const auto &[what, t] : tables(m)) {
+        SCOPED_TRACE(what);
         SurfaceErrorReport rep =
             checkSurfaceError(m.params, *t, m.law, eval, 0.0);
         EXPECT_TRUE(rep.ok());
@@ -220,26 +213,23 @@ TEST(LatencySurface, GeneratingEvaluatorReproducesEveryCellExactly)
     }
 }
 
-TEST(LatencySurface, DerivedModelSurfacesVerify)
+TEST(LatencySurface, DerivedModelLookupIsCoveringBucket)
 {
+    // Split-reset prices its half-RESET phases on the location table
+    // of a derived model.
     const TimingModel &m = model();
     CrossbarParams half = m.params;
     half.selectedCells = 4;
     TimingModel derived = TimingModel::generateDerived(half, m.law);
-    ASSERT_NE(derived.ladderSurface, nullptr);
-    ASSERT_NE(derived.blpSurface, nullptr);
     ASSERT_NE(derived.locationSurface, nullptr);
-    EXPECT_TRUE(derived.ladderSurface->verifyAgainst(derived.ladder).ok());
-    EXPECT_TRUE(derived.blpSurface->verifyAgainst(derived.blp).ok());
-    EXPECT_TRUE(
-        derived.locationSurface->verifyAgainst(derived.location).ok());
+    expectLookupMatchesBuckets(*derived.locationSurface, "location");
 }
 
 /**
  * The physics gate: on a 64x64 crossbar (MNA-tractable; the scale
  * test_fastmodel cross-validates at), every cell of every table —
- * and therefore every distinct value of every surface — must agree
- * with a direct full-MNA evaluation within kMnaRelLatencyBudget.
+ * and therefore every value a lookup returns — must agree with a
+ * direct full-MNA evaluation within kMnaRelLatencyBudget.
  */
 TEST(LatencySurfaceMna, EveryCellWithinBudgetOfMna)
 {
@@ -251,8 +241,8 @@ TEST(LatencySurfaceMna, EveryCellWithinBudgetOfMna)
     ResetEvaluator ref = [&mna](const ResetCondition &c) {
         return mna.evaluate(c);
     };
-    for (const WriteTimingTable *t :
-         {&small.ladder, &small.blp, &small.location}) {
+    for (const auto &[what, t] : tables(small)) {
+        SCOPED_TRACE(what);
         SurfaceErrorReport rep = checkSurfaceError(
             p, *t, small.law, ref, kMnaRelLatencyBudget);
         EXPECT_TRUE(rep.ok())
@@ -263,9 +253,6 @@ TEST(LatencySurfaceMna, EveryCellWithinBudgetOfMna)
                   static_cast<std::size_t>(t->wlBuckets()) *
                       t->blBuckets() * t->contentBuckets());
     }
-    // The surfaces are bit-identical to these tables, so the same
-    // budget bounds every surface lookup.
-    EXPECT_TRUE(small.ladderSurface->verifyAgainst(small.ladder).ok());
 }
 
 TEST(LatencySurfaceMna, FastModelAgreesWithMnaOnGrid)

@@ -135,7 +135,7 @@ TEST(Logging, ThresholdFiltersAndWarnOnceRateLimits)
 TEST(EpochSnapshots, CadenceMatchesSimulatedTime)
 {
     ExperimentConfig cfg = quickConfig();
-    cfg.epochCycles = 2'000;
+    cfg.system.epochCycles = 2'000;
     SystemConfig sysCfg =
         makeSystemConfig(SchemeKind::Baseline, "lbm", cfg);
     System system(sysCfg);
@@ -152,7 +152,7 @@ TEST(EpochSnapshots, CadenceMatchesSimulatedTime)
     // Epochs are spaced exactly epochCycles apart in core time and
     // stop when the last core finishes, so the count must match the
     // measured window length (give ±2 for the boundary epochs).
-    double epochNs = static_cast<double>(cfg.epochCycles) /
+    double epochNs = static_cast<double>(cfg.system.epochCycles) /
                      sysCfg.core.freqGhz;
     double expected = result.elapsedNs / epochNs;
     EXPECT_NEAR(static_cast<double>(epochs.size()), expected, 2.0)
@@ -201,7 +201,7 @@ TEST(StatsExport, ByteIdenticalAcrossJobCounts)
     auto sweep = [&](unsigned jobs, const fs::path &dir) {
         ExperimentConfig cfg = quickConfig();
         cfg.jobs = jobs;
-        cfg.epochCycles = 10'000;
+        cfg.system.epochCycles = 10'000;
         cfg.statsJsonDir = (dir / "stats").string();
         cfg.traceOutDir = (dir / "trace").string();
         runMatrixParallel(schemes, workloads, cfg);
@@ -315,7 +315,7 @@ TEST(StatsExport, StreamingTracesMatchBufferedAtAnyJobCount)
 TEST(EpochSnapshots, CacheAndCoreSeriesAlignWithControllerEpochs)
 {
     ExperimentConfig cfg = quickConfig();
-    cfg.epochCycles = 2'000;
+    cfg.system.epochCycles = 2'000;
     SystemConfig sysCfg =
         makeSystemConfig(SchemeKind::Baseline, "lbm", cfg);
     System system(sysCfg);

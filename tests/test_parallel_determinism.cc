@@ -228,7 +228,7 @@ TEST(ParallelDeterminism, VariantsMatchStandaloneRunsInOrder)
     std::vector<ExperimentConfig> variants;
     for (unsigned lowRows : {0u, 256u}) {
         variants.push_back(quickConfig(4));
-        variants.back().schemeOptions.hybridLowRows = lowRows;
+        variants.back().system.schemeOptions.hybridLowRows = lowRows;
     }
     std::vector<SimResult> results =
         runVariants(SchemeKind::LadderHybrid, "astar", variants);

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,8 +146,8 @@ TEST(ParamRegistry, PrecedenceSweepParamsBetweenFileAndCli)
     ResolvedExperiment r = resolve(
         {configArg.c_str(), sweepArg.c_str(), "measure=300"});
     EXPECT_EQ(r.config.measureInstr, 300u); // CLI wins
-    EXPECT_EQ(r.config.granularity, 16u);   // sweep params beat file
-    EXPECT_EQ(r.config.seed, 5u);           // file beats defaults
+    EXPECT_EQ(r.config.system.tableGranularity, 16u); // sweep beats file
+    EXPECT_EQ(r.config.seed, 5u); // file beats defaults
 }
 
 TEST(ParamRegistry, CliArgvOrderIsLastWins)
@@ -267,6 +268,11 @@ TEST(ParamRegistry, OutOfRangeIsDiagnosedWithDoc)
         EXPECT_NE(what.find(arg), std::string::npos) << what;
         EXPECT_NE(what.find("out of range"), std::string::npos) << what;
     }
+    // extern.content=lrs is not a mode: auto already tracks a
+    // record's LRS count when it has one.
+    what = errorOf({"extern.content=lrs"});
+    EXPECT_NE(what.find("extern.content"), std::string::npos) << what;
+    EXPECT_NE(what.find("must be one of"), std::string::npos) << what;
     for (const char *key : {"geom.mat-rows", "geom.mat-cols", "xbar.cols",
                             "geom.chips", "extern.format",
                             "scheme.shifting"}) {
@@ -284,7 +290,7 @@ TEST(ParamRegistry, OutOfRangeIsDiagnosedWithDoc)
 TEST(ParamRegistry, HybridLowRowsAdmitsZero)
 {
     EXPECT_EQ(resolve({"scheme.hybrid-low-rows=0"})
-                  .config.schemeOptions.hybridLowRows,
+                  .config.system.schemeOptions.hybridLowRows,
               0u);
     EXPECT_NE(errorOf({"scheme.hybrid-low-rows=4097"})
                   .find("out of range"),
@@ -316,9 +322,11 @@ TEST(ParamRegistry, BadChoiceSuggests)
 
 TEST(ParamRegistry, EnumParsesAllMappedNames)
 {
-    EXPECT_EQ(resolve({"fnw-mode=off"}).config.fnwMode, FnwMode::Off);
-    EXPECT_EQ(resolve({"fnw-mode=constrained"}).config.fnwMode,
-              FnwMode::Constrained);
+    EXPECT_EQ(resolve({"fnw-mode=off"}).config.system.controller.fnwMode,
+              FnwMode::Off);
+    EXPECT_EQ(
+        resolve({"fnw-mode=constrained"}).config.system.controller.fnwMode,
+        FnwMode::Constrained);
 }
 
 TEST(ParamRegistry, MalformedConfigFileNamesTheFile)
@@ -487,6 +495,47 @@ TEST(ParamRegistry, DumpAndHelpFlagsAreRecognized)
     EXPECT_FALSE(resolve({}).dumpRequested);
 }
 
+TEST(ParamRegistry, HelpLinesSplitIntoKeyTypeDefault)
+{
+    // Every --help-config line splits on whitespace into a registered
+    // key, its type and its default (the markdown table's default
+    // column), even where a key is wider than the key column.
+    const ParamRegistry<ExperimentConfig> &reg = experimentRegistry();
+    const ExperimentConfig defaults = defaultExperimentConfig();
+    std::ostringstream md;
+    reg.helpMarkdown(md, defaults);
+    std::map<std::string, std::string> defaultOf;
+    std::istringstream rows(md.str());
+    for (std::string row; std::getline(rows, row);) {
+        if (row.rfind("| `", 0) != 0)
+            continue;
+        const std::size_t keyEnd = row.find("` | ");
+        const std::size_t valueBegin = row.find(" | `", keyEnd) + 4;
+        const std::size_t valueEnd = row.find("` | ", valueBegin);
+        defaultOf[row.substr(3, keyEnd - 3)] =
+            row.substr(valueBegin, valueEnd - valueBegin);
+    }
+    ASSERT_EQ(defaultOf.size(), reg.names().size());
+
+    std::ostringstream help;
+    reg.help(help, defaults);
+    std::istringstream lines(help.str());
+    std::size_t count = 0;
+    for (std::string line; std::getline(lines, line); ++count) {
+        std::istringstream fields(line);
+        std::string key, type, value;
+        fields >> key >> type >> value;
+        ASSERT_TRUE(reg.has(key)) << line;
+        EXPECT_TRUE(type == "bool" || type == "int" || type == "uint" ||
+                    type == "double" || type == "string")
+            << line;
+        if (defaultOf[key] != "''") {
+            EXPECT_EQ(value, defaultOf[key]) << line;
+        }
+    }
+    EXPECT_EQ(count, reg.names().size());
+}
+
 TEST(ParamRegistry, ExperimentsTableMatchesRegistry)
 {
     // The table between EXPERIMENTS.md's GENERATED PARAMS markers is
@@ -585,7 +634,7 @@ TEST(ParamRegistry, CommittedExampleConfigsResolve)
     ResolvedExperiment r = resolve({quick.c_str()});
     EXPECT_EQ(r.config.warmupInstr, 60000u);
     EXPECT_EQ(r.config.measureInstr, 40000u);
-    EXPECT_EQ(r.config.epochCycles, 10000u);
+    EXPECT_EQ(r.config.system.epochCycles, 10000u);
 
     std::string paper =
         "config=" + (configsDir / "paper-table2.json").string();
@@ -713,7 +762,7 @@ TEST(ParamRegistry, SweepCellsParseValidateAndStringify)
     EXPECT_EQ(second.scheme, "*"); // omitted half defaults to wildcard
     EXPECT_EQ(second.workload, "kv-log");
     // Overrides are per-cell only: the base config is untouched.
-    EXPECT_EQ(r.config.epochCycles, 0u);
+    EXPECT_EQ(r.config.system.epochCycles, 0u);
     EXPECT_EQ(r.config.traceChunkRecords, 64u * 1024);
 }
 

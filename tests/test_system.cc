@@ -167,7 +167,7 @@ TEST(System, RangeShrinkReducesBenefit)
     SimResult base = runOne(SchemeKind::Baseline, "astar", cfg);
     SimResult nominal = runOne(SchemeKind::LadderHybrid, "astar", cfg);
     ExperimentConfig shrunk = cfg;
-    shrunk.rangeShrink = 2.0;
+    shrunk.system.rangeShrink = 2.0;
     SimResult baseS = runOne(SchemeKind::Baseline, "astar", shrunk);
     SimResult hybridS =
         runOne(SchemeKind::LadderHybrid, "astar", shrunk);
@@ -184,7 +184,7 @@ TEST(System, SplitResetDerivesFromTheSystemModel)
     // system uses (shrunk here), built from the system's own crossbar,
     // and its solves are exported with the system model's.
     ExperimentConfig cfg = quickConfig();
-    cfg.rangeShrink = 2.0;
+    cfg.system.rangeShrink = 2.0;
     cfg.system.crossbar.wireOhms = 3.0;
     System sys(makeSystemConfig(SchemeKind::SplitReset, "lbm", cfg));
     const auto &split =
@@ -203,7 +203,7 @@ TEST(System, FnwOffMeansNoFlips)
     // (a realistic property); with FNW disabled they must be exactly
     // zero and energy accounting must still work.
     ExperimentConfig without = quickConfig();
-    without.fnwMode = FnwMode::Off;
+    without.system.controller.fnwMode = FnwMode::Off;
     SimResult b = runOne(SchemeKind::Baseline, "mcf", without);
     EXPECT_EQ(b.fnwFlips, 0.0);
     EXPECT_GT(b.writeEnergyPj, 0.0);

@@ -1,4 +1,5 @@
-/** @file Tests for the write timing tables and the power table. */
+/** @file Tests for the timing model: its write timing tables, the power
+ * table, and the parallel, cached build. */
 
 #include <gtest/gtest.h>
 
@@ -7,12 +8,12 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "circuit/fastmodel.hh"
-#include "reram/latency_surface.hh"
 #include "reram/timing_tables.hh"
 
 namespace ladder
@@ -30,15 +31,15 @@ model()
 TEST(TimingTable, EnvelopeMatchesLaw)
 {
     const TimingModel &m = model();
-    EXPECT_NEAR(m.ladder.worstLatencyNs(), 658.0, 1.0);
-    EXPECT_GE(m.ladder.bestLatencyNs(), 29.0);
-    EXPECT_LT(m.ladder.bestLatencyNs(), 300.0);
+    EXPECT_NEAR(m.ladderSurface->worstLatencyNs(), 658.0, 1.0);
+    EXPECT_GE(m.ladderSurface->bestLatencyNs(), 29.0);
+    EXPECT_LT(m.ladderSurface->bestLatencyNs(), 300.0);
 }
 
 TEST(TimingTable, MonotoneInAllDimensions)
 {
     const TimingModel &m = model();
-    const WriteTimingTable &t = m.ladder;
+    const LatencySurface &t = *m.ladderSurface;
     for (unsigned wb = 0; wb + 1 < t.wlBuckets(); ++wb)
         for (unsigned bb = 0; bb < t.blBuckets(); ++bb)
             for (unsigned cb = 0; cb < t.contentBuckets(); ++cb)
@@ -70,8 +71,7 @@ TEST(TimingTable, LookupAlwaysSafe)
                 double needed =
                     m.law.latencyNs(fast.evaluate(cond).minDropVolts);
                 double granted =
-                    m.ladder
-                        .lookup(wl, slot * 8 + 7, count)
+                    m.ladderSurface->lookup(wl, slot * 8 + 7, count)
                         .latencyNs;
                 EXPECT_GE(granted + 1e-9, needed)
                     << "wl=" << wl << " slot=" << slot
@@ -83,36 +83,35 @@ TEST(TimingTable, LookupAlwaysSafe)
 
 TEST(TimingTable, ContentRoundsUp)
 {
-    const TimingModel &m = model();
+    const LatencySurface &t = *model().ladderSurface;
     // A count exactly on a bucket boundary (e.g. 64) must use the
     // bucket whose worst-case corner covers it (bucket 0 covers 1-64).
-    const TimingEntry &at64 = m.ladder.lookup(511, 511, 64);
-    const TimingEntry &at65 = m.ladder.lookup(511, 511, 65);
-    EXPECT_EQ(at64.latencyNs, m.ladder.at(7, 7, 0).latencyNs);
-    EXPECT_EQ(at65.latencyNs, m.ladder.at(7, 7, 1).latencyNs);
+    const TimingEntry &at64 = t.lookup(511, 511, 64);
+    const TimingEntry &at65 = t.lookup(511, 511, 65);
+    EXPECT_EQ(at64.latencyNs, t.at(7, 7, 0).latencyNs);
+    EXPECT_EQ(at65.latencyNs, t.at(7, 7, 1).latencyNs);
     // Zero content also uses bucket 0.
-    EXPECT_EQ(m.ladder.lookup(511, 511, 0).latencyNs,
-              m.ladder.at(7, 7, 0).latencyNs);
+    EXPECT_EQ(t.lookup(511, 511, 0).latencyNs, t.at(7, 7, 0).latencyNs);
     // Content beyond the maximum clamps to the last bucket.
-    EXPECT_EQ(m.ladder.lookup(511, 511, 100000).latencyNs,
-              m.ladder.at(7, 7, 7).latencyNs);
+    EXPECT_EQ(t.lookup(511, 511, 100000).latencyNs,
+              t.at(7, 7, 7).latencyNs);
 }
 
 TEST(TimingTable, StorageMatchesPaper)
 {
     const TimingModel &m = model();
-    EXPECT_EQ(m.ladder.storageBytes(), 512u); // paper: 512B buffer
+    EXPECT_EQ(m.ladderSurface->storageBytes(), 512u); // paper: 512B
 }
 
 TEST(TimingTable, LocationTableHasOneContentBucket)
 {
     const TimingModel &m = model();
-    EXPECT_EQ(m.location.contentBuckets(), 1u);
+    EXPECT_EQ(m.locationSurface->contentBuckets(), 1u);
     // Location-only equals LADDER's worst-content column.
     for (unsigned wb = 0; wb < 8; ++wb)
         for (unsigned bb = 0; bb < 8; ++bb)
-            EXPECT_DOUBLE_EQ(m.location.at(wb, bb, 0).latencyNs,
-                             m.ladder.at(wb, bb, 7).latencyNs);
+            EXPECT_DOUBLE_EQ(m.locationSurface->at(wb, bb, 0).latencyNs,
+                             m.ladderSurface->at(wb, bb, 7).latencyNs);
 }
 
 TEST(TimingTable, BlpWorstCasesWordline)
@@ -120,12 +119,12 @@ TEST(TimingTable, BlpWorstCasesWordline)
     const TimingModel &m = model();
     // At full bitline content both tables' far corners coincide (both
     // worst-case everything).
-    EXPECT_NEAR(m.blp.at(7, 7, 7).latencyNs,
-                m.ladder.at(7, 7, 7).latencyNs, 1e-9);
+    EXPECT_NEAR(m.blpSurface->at(7, 7, 7).latencyNs,
+                m.ladderSurface->at(7, 7, 7).latencyNs, 1e-9);
     // At low bitline content BLP still pays the worst-case wordline:
     // it cannot beat LADDER's low-content entry.
-    EXPECT_GE(m.blp.at(7, 7, 0).latencyNs,
-              m.ladder.at(7, 7, 0).latencyNs);
+    EXPECT_GE(m.blpSurface->at(7, 7, 0).latencyNs,
+              m.ladderSurface->at(7, 7, 0).latencyNs);
 }
 
 TEST(TimingTable, GranularityAblation)
@@ -135,10 +134,10 @@ TEST(TimingTable, GranularityAblation)
     const TimingModel &fine = cachedTimingModel(p, 16);
     // Coarser tables are safe (their best entry is no faster than the
     // finer table's best) and hit the same worst case.
-    EXPECT_GE(coarse.ladder.bestLatencyNs(),
-              fine.ladder.bestLatencyNs());
-    EXPECT_NEAR(coarse.ladder.worstLatencyNs(),
-                fine.ladder.worstLatencyNs(), 1.0);
+    EXPECT_GE(coarse.ladderSurface->bestLatencyNs(),
+              fine.ladderSurface->bestLatencyNs());
+    EXPECT_NEAR(coarse.ladderSurface->worstLatencyNs(),
+                fine.ladderSurface->worstLatencyNs(), 1.0);
 }
 
 TEST(TimingTable, RangeShrinkAblation)
@@ -148,14 +147,14 @@ TEST(TimingTable, RangeShrinkAblation)
     const TimingModel &shrunk = cachedTimingModel(p, 8, 2.0);
     // Worst case (the baseline spec) is unchanged; the exploitable
     // range below it halves.
-    EXPECT_NEAR(shrunk.ladder.worstLatencyNs(),
-                nominal.ladder.worstLatencyNs(), 1.0);
-    EXPECT_GT(shrunk.ladder.bestLatencyNs(),
-              nominal.ladder.bestLatencyNs());
+    EXPECT_NEAR(shrunk.ladderSurface->worstLatencyNs(),
+                nominal.ladderSurface->worstLatencyNs(), 1.0);
+    EXPECT_GT(shrunk.ladderSurface->bestLatencyNs(),
+              nominal.ladderSurface->bestLatencyNs());
     // The table's best entry is a bucket worst-corner, so it sits at
     // or above the shrunk law's floor of 343.5 ns.
-    EXPECT_GE(shrunk.ladder.bestLatencyNs(), 343.4);
-    EXPECT_LT(shrunk.ladder.bestLatencyNs(), 480.0);
+    EXPECT_GE(shrunk.ladderSurface->bestLatencyNs(), 343.4);
+    EXPECT_LT(shrunk.ladderSurface->bestLatencyNs(), 480.0);
 }
 
 TEST(TimingTable, DerivedModelUsesGivenLaw)
@@ -169,8 +168,9 @@ TEST(TimingTable, DerivedModelUsesGivenLaw)
     // Fewer selected cells -> higher drops -> faster everywhere.
     for (unsigned wb = 0; wb < 8; ++wb)
         for (unsigned bb = 0; bb < 8; ++bb)
-            EXPECT_LE(derived.location.at(wb, bb, 0).latencyNs,
-                      full.location.at(wb, bb, 0).latencyNs + 1e-9);
+            EXPECT_LE(derived.locationSurface->at(wb, bb, 0).latencyNs,
+                      full.locationSurface->at(wb, bb, 0).latencyNs +
+                          1e-9);
 }
 
 TEST(TimingTable, CachedModelIsStable)
@@ -185,17 +185,14 @@ TEST(TimingTable, CachedModelIsStable)
 
 TEST(TimingTable, SurfacesAttachedByGenerate)
 {
-    // Every generated model carries the three dense O(1) surfaces, and
-    // each mirrors its table exactly (see test_latency_surface for the
-    // full contract).
+    // Every generated model carries its three tables (see
+    // test_latency_surface for the lookup contract).
     const TimingModel &m = model();
     ASSERT_NE(m.ladderSurface, nullptr);
     ASSERT_NE(m.blpSurface, nullptr);
     ASSERT_NE(m.locationSurface, nullptr);
-    EXPECT_TRUE(m.ladderSurface->verifyAgainst(m.ladder).ok());
-    EXPECT_TRUE(m.blpSurface->verifyAgainst(m.blp).ok());
-    EXPECT_TRUE(m.locationSurface->verifyAgainst(m.location).ok());
-    EXPECT_EQ(m.locationSurface->contentDense(), 1u);
+    EXPECT_EQ(m.granularity(), 8u);
+    EXPECT_EQ(m.worstLatencyNs(), m.locationSurface->worstLatencyNs());
 }
 
 TEST(TimingTable, SurfacesAttachedByGenerateDerived)
@@ -204,28 +201,9 @@ TEST(TimingTable, SurfacesAttachedByGenerateDerived)
     half.selectedCells = 4;
     TimingModel derived =
         TimingModel::generateDerived(half, model().law, 8);
+    ASSERT_NE(derived.ladderSurface, nullptr);
+    ASSERT_NE(derived.blpSurface, nullptr);
     ASSERT_NE(derived.locationSurface, nullptr);
-    EXPECT_TRUE(
-        derived.locationSurface->verifyAgainst(derived.location).ok());
-}
-
-TEST(TimingTable, SurfaceLookupEqualsTableLookup)
-{
-    const TimingModel &m = model();
-    for (unsigned wl : {0u, 63u, 64u, 255u, 511u}) {
-        for (unsigned bl : {0u, 63u, 64u, 255u, 511u}) {
-            for (unsigned c : {0u, 1u, 64u, 65u, 256u, 512u, 9999u}) {
-                EXPECT_EQ(m.ladderSurface->lookup(wl, bl, c).latencyNs,
-                          m.ladder.lookup(wl, bl, c).latencyNs)
-                    << "wl " << wl << " bl " << bl << " c " << c;
-                EXPECT_EQ(m.blpSurface->lookup(wl, bl, c).latencyNs,
-                          m.blp.lookup(wl, bl, c).latencyNs);
-                EXPECT_EQ(
-                    m.locationSurface->lookup(wl, bl, c).latencyNs,
-                    m.location.lookup(wl, bl, c).latencyNs);
-            }
-        }
-    }
 }
 
 /** Equal down to the last bit (no tolerance, -0.0 != +0.0). */
@@ -264,20 +242,25 @@ serialReference(const CrossbarParams &p, unsigned g, double shrink,
         if (shrink > 1.0)
             ref.law = ref.law.shrinkDynamicRange(shrink);
     }
-    ref.ladder = WriteTimingTable::build(p, ref.law, eval,
-                                         ContentDim::Wordline, g, g, g);
-    ref.blp = WriteTimingTable::build(p, ref.law, eval,
-                                      ContentDim::Bitline, g, g, g);
-    ref.location = WriteTimingTable::build(p, ref.law, eval,
-                                           ContentDim::Wordline, g, g, 1);
+    auto table = [&](ContentDim dim, unsigned contentBuckets) {
+        return std::make_shared<const LatencySurface>(LatencySurface::build(
+            p, ref.law, eval, dim, g, g, contentBuckets));
+    };
+    ref.ladderSurface = table(ContentDim::Wordline, g);
+    ref.blpSurface = table(ContentDim::Bitline, g);
+    ref.locationSurface = table(ContentDim::Wordline, 1);
     ref.power = PowerTable::build(p, eval);
     return ref;
 }
 
 void
-expectSameTable(const WriteTimingTable &got, const WriteTimingTable &want,
+expectSameTable(const LatencySurface &got, const LatencySurface &want,
                 const char *what)
 {
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    ASSERT_EQ(got.contentDim(), want.contentDim()) << what;
+    ASSERT_EQ(got.contentMax(), want.contentMax()) << what;
     ASSERT_EQ(got.wlBuckets(), want.wlBuckets()) << what;
     ASSERT_EQ(got.blBuckets(), want.blBuckets()) << what;
     ASSERT_EQ(got.contentBuckets(), want.contentBuckets()) << what;
@@ -299,7 +282,11 @@ expectSameTable(const WriteTimingTable &got, const WriteTimingTable &want,
             }
 }
 
-/** Bitwise equality of every table, power cell and surface. */
+/**
+ * Bitwise equality of every table bucket and power cell (a table's
+ * lookups are copies of its buckets; test_latency_surface checks
+ * that).
+ */
 void
 expectSameModel(const TimingModel &got, const TimingModel &want)
 {
@@ -308,9 +295,10 @@ expectSameModel(const TimingModel &got, const TimingModel &want)
     EXPECT_TRUE(sameBits(got.law.fastNs, want.law.fastNs));
     EXPECT_TRUE(sameBits(got.bestDropVolts, want.bestDropVolts));
     EXPECT_TRUE(sameBits(got.worstDropVolts, want.worstDropVolts));
-    expectSameTable(got.ladder, want.ladder, "ladder");
-    expectSameTable(got.blp, want.blp, "blp");
-    expectSameTable(got.location, want.location, "location");
+    expectSameTable(*got.ladderSurface, *want.ladderSurface, "ladder");
+    expectSameTable(*got.blpSurface, *want.blpSurface, "blp");
+    expectSameTable(*got.locationSurface, *want.locationSurface,
+                    "location");
 
     // PowerTable::build's default 4 buckets per dimension, probed at
     // the bucket midpoints it solved: each probe is a distinct cell.
@@ -335,10 +323,6 @@ expectSameModel(const TimingModel &got, const TimingModel &want)
                         << "," << cb;
                 }
 
-    // verifyAgainst compares every dense cell bit for bit.
-    EXPECT_TRUE(got.ladderSurface->verifyAgainst(want.ladder).ok());
-    EXPECT_TRUE(got.blpSurface->verifyAgainst(want.blp).ok());
-    EXPECT_TRUE(got.locationSurface->verifyAgainst(want.location).ok());
 }
 
 TEST(TimingModelDeterminism, ParallelBuildEqualsSerialBuild)
@@ -382,9 +366,9 @@ TEST(TimingModelDeterminism, SolvesEachDistinctConditionOnce)
         return ResetEvaluation{};
     };
     for (ContentDim dim : {ContentDim::Wordline, ContentDim::Bitline})
-        WriteTimingTable::build(p, ResetLatencyLaw{}, record, dim);
-    WriteTimingTable::build(p, ResetLatencyLaw{}, record,
-                            ContentDim::Wordline, 8, 8, 1);
+        LatencySurface::build(p, ResetLatencyLaw{}, record, dim);
+    LatencySurface::build(p, ResetLatencyLaw{}, record,
+                          ContentDim::Wordline, 8, 8, 1);
     PowerTable::build(p, record);
     EXPECT_EQ(requested.size(), 1344u);
     std::sort(requested.begin(), requested.end());

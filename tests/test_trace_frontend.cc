@@ -423,7 +423,7 @@ TEST(ExternSource, LrsContentSynthesisTracksRecordedCounts)
     ASSERT_TRUE(parsed->ok()) << parsed->error;
     ExternTraceOptions opts;
     opts.footprintPages = 16;
-    opts.content = ExternContentMode::Lrs;
+    opts.content = ExternContentMode::Auto;
     ExternalTraceSource source(parsed, opts, 99);
     for (std::size_t i = 0; i < records.size(); ++i) {
         TraceRecord rec = source.next();

@@ -271,7 +271,7 @@ TEST(WorkloadProperties, AdversarialFamilyIsAllOnesWriteOnly)
 TEST(WorkloadProperties, AdversarialContentMaximizesTableLatency)
 {
     const TimingModel &m = cachedTimingModel(CrossbarParams{});
-    const WriteTimingTable &table = m.ladder;
+    const LatencySurface &table = *m.ladderSurface;
     const unsigned contentMax = table.contentMax();
     double globalWorstAtMax = 0.0;
     for (unsigned wl = 0; wl < table.rows(); wl += 73) {
